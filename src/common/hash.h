@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -39,6 +40,11 @@ inline uint64_t AddMod61(uint64_t a, uint64_t b) {
   uint64_t s = a + b;
   if (s >= kMersenne61) s -= kMersenne61;
   return s;
+}
+
+/// (a - b) mod (2^61 - 1); requires a, b < 2^61 - 1.
+inline uint64_t SubMod61(uint64_t a, uint64_t b) {
+  return a >= b ? a - b : a + kMersenne61 - b;
 }
 
 /// Lazy Mersenne fold: for v < 2^124 returns a value ≡ v (mod 2^61 - 1)
@@ -134,6 +140,12 @@ class BucketHash {
     return (static_cast<uint64_t>(h) * m_) >> 32;
   }
 
+  /// Block form of operator(): out[i] = (*this)(start + i) for every i.
+  /// Values sharing their high 7 bytes form runs of up to 256, and each
+  /// run's 7 high-byte table lookups are done once. Requires the range not
+  /// to wrap past 2^64 (contract check).
+  void HashRange(uint64_t start, std::span<uint32_t> out) const;
+
   uint64_t num_buckets() const { return m_; }
 
  private:
@@ -147,10 +159,22 @@ class SignHash {
  public:
   explicit SignHash(uint64_t seed);
 
-  /// +1 or -1. Inline: per-report client hot path. Same Estrin/lazy-fold
+  /// +1 or -1. Inline: per-report client hot path.
+  int operator()(uint64_t x) const { return SignOf(Polynomial(x)); }
+
+  /// Block form of operator(): out[i] = (*this)(start + i) for every i.
+  /// The degree-3 polynomial is stepped by forward differences over
+  /// GF(2^61 - 1), so each value costs 3 modular adds instead of an
+  /// evaluation. Requires start + out.size() <= p (contract check): every
+  /// input is then its own residue and consecutive inputs are consecutive
+  /// field elements.
+  void HashRange(uint64_t start, std::span<int8_t> out) const;
+
+ private:
+  /// The polynomial's value at x, canonical in [0, p). Same Estrin/lazy-fold
   /// evaluation as PolynomialHash, on coefficients held in-object so the
   /// hot loop dereferences no heap pointer.
-  int operator()(uint64_t x) const {
+  uint64_t Polynomial(uint64_t x) const {
     const uint64_t xr = (x & kMersenne61) + (x >> 61);  // ≡ x (mod p)
     const uint64_t a =
         internal::FoldMod61(static_cast<__uint128_t>(c_[0]) * xr) + c_[1];
@@ -160,11 +184,12 @@ class SignHash {
     uint64_t acc = internal::FoldMod61(static_cast<__uint128_t>(a) * x2) + b;
     acc = (acc & kMersenne61) + (acc >> 61);
     if (acc >= kMersenne61) acc -= kMersenne61;
-    // Use a mid bit of the 4-wise independent value as the sign bit.
-    return (acc >> 30) & 1 ? +1 : -1;
+    return acc;
   }
 
- private:
+  /// Uses a mid bit of the 4-wise independent value as the sign bit.
+  static int SignOf(uint64_t value) { return (value >> 30) & 1 ? +1 : -1; }
+
   std::array<uint64_t, 4> c_;  // degree-3 polynomial, leading first
 };
 

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "common/hadamard.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
+#include "core/freq_items.h"
 
 namespace ldpjs {
 
@@ -316,17 +318,11 @@ double LdpJoinSketchServer::FrequencyEstimate(uint64_t d) const {
 
 std::vector<double> LdpJoinSketchServer::EstimateAllFrequencies(
     uint64_t domain) const {
-  LDPJS_CHECK(finalized_);
-  std::vector<double> out(domain);
-  SharedParallelFor(static_cast<size_t>(domain),
-                    static_cast<size_t>(domain) *
-                        static_cast<size_t>(params_.k),
-                    [&](size_t, size_t begin, size_t end) {
-                      for (size_t d = begin; d < end; ++d) {
-                        out[d] = FrequencyEstimate(static_cast<uint64_t>(d));
-                      }
-                    });
-  return out;
+  const LdpJoinSketchServer* self[] = {this};
+  const double flag_none[] = {std::numeric_limits<double>::infinity()};
+  return std::move(ScanFrequencies(self, flag_none, domain,
+                                   /*keep_estimates=*/true)
+                       .estimates[0]);
 }
 
 void LdpJoinSketchServer::SubtractUniformMass(double total_mass) {

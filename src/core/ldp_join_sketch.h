@@ -199,8 +199,9 @@ class LdpJoinSketchServer {
   /// Theorem 7: f̂(d) = mean_j M[j, h_j(d)]·ξ_j(d). Unbiased.
   double FrequencyEstimate(uint64_t d) const;
 
-  /// Frequencies for every value in [0, domain). O(domain·k), sharded
-  /// across the process thread pool for large domains.
+  /// Frequencies for every value in [0, domain): ScanFrequencies' block
+  /// kernel, sharded across the process thread pool for large domains.
+  /// Bit-identical to FrequencyEstimate per value.
   std::vector<double> EstimateAllFrequencies(uint64_t domain) const;
 
   /// Subtracts `total_mass / m` from every cell — removes the expected
@@ -221,6 +222,12 @@ class LdpJoinSketchServer {
     if (finalized_) return cells_[idx];
     return static_cast<double>(params_.k) * c_eps_ *
            static_cast<double>(lanes_[idx]);
+  }
+  /// Row `row` of the finalized cells: m contiguous doubles.
+  const double* finalized_row(int row) const {
+    LDPJS_CHECK(finalized_);
+    return cells_.data() +
+           static_cast<size_t>(row) * static_cast<size_t>(params_.m);
   }
   /// Raw ±1 vote balance of a cell; ingestion-side state, so only valid
   /// before Finalize (the lanes are released by it).

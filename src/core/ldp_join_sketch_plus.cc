@@ -89,24 +89,24 @@ LdpJoinSketchPlusResult EstimateJoinSizePlus(
   // ---- FI search (server-side, counted as online query prep). ----------
   const auto fi_start = std::chrono::steady_clock::now();
   const double offline_phase1 = SecondsSince(offline_start);
-  const std::unordered_set<uint64_t> frequent_items = FindFrequentItemsUnion(
+  // FI and both FI masses come from one scan of the domain.
+  const FrequentItemsWithMass fi = FindFrequentItemsWithMass(
       sample_sketch_a, sample_sketch_b, domain,
       params.threshold * static_cast<double>(result.sample_rows_a),
       params.threshold * static_cast<double>(result.sample_rows_b));
+  const FrequentItemSet& frequent_items = fi.items;
   result.frequent_item_count = frequent_items.size();
 
   // Estimated full-table FI mass (Algorithm 5 lines 1-4), clamped to the
   // table size — sketch noise can push the raw sum past |A|.
-  result.high_freq_mass_a = std::min(
-      static_cast<double>(table_a.size()),
-      EstimateFrequentMass(sample_sketch_a, frequent_items,
-                           static_cast<double>(table_a.size()) /
-                               static_cast<double>(result.sample_rows_a)));
-  result.high_freq_mass_b = std::min(
-      static_cast<double>(table_b.size()),
-      EstimateFrequentMass(sample_sketch_b, frequent_items,
-                           static_cast<double>(table_b.size()) /
-                               static_cast<double>(result.sample_rows_b)));
+  result.high_freq_mass_a =
+      std::min(static_cast<double>(table_a.size()),
+               fi.mass_a * (static_cast<double>(table_a.size()) /
+                            static_cast<double>(result.sample_rows_a)));
+  result.high_freq_mass_b =
+      std::min(static_cast<double>(table_b.size()),
+               fi.mass_b * (static_cast<double>(table_b.size()) /
+                            static_cast<double>(result.sample_rows_b)));
   const double fi_seconds = SecondsSince(fi_start);
 
   // ---- Phase 2: FAP sketches per group. ---------------------------------

@@ -181,5 +181,93 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 42u, 0xdeadbeefu),
                        ::testing::Values(2u, 3u, 64u, 1024u, 1u << 20)));
 
+// Block kernels (HashRange) against the scalar operator(), value for value:
+// starts at and around 256-run boundaries, deep into the 64-bit range, and
+// just below p; lengths crossing many runs; several seeds.
+const uint64_t kRangeStarts[] = {0,   1,   255, 256, (uint64_t{1} << 40) + 17,
+                                 kMersenne61 - 5000};
+constexpr size_t kMaxRangeLength = 4096;
+
+std::vector<size_t> RangeLengths() {
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 8; ++n) lengths.push_back(n);
+  for (size_t n = 9; n <= kMaxRangeLength; n += 37) lengths.push_back(n);
+  for (const size_t n : {255, 256, 257, 511, 512, 513, 4095, 4096}) {
+    lengths.push_back(n);
+  }
+  return lengths;
+}
+
+// Index of the first i < out.size() with out[i] != expected(start + i), or
+// out.size() if every value matches.
+template <typename T, typename Scalar>
+size_t FirstMismatch(uint64_t start, const std::vector<T>& out, size_t n,
+                     const Scalar& expected) {
+  for (size_t i = 0; i < n; ++i) {
+    if (static_cast<int64_t>(out[i]) !=
+        static_cast<int64_t>(expected(start + i))) {
+      return i;
+    }
+  }
+  return n;
+}
+
+TEST(BucketHashTest, HashRangeEqualsScalar) {
+  for (const uint64_t seed : {1ULL, 77ULL, 0xdeadbeefULL}) {
+    for (const uint64_t m : {uint64_t{77}, uint64_t{1024}, uint64_t{1} << 32}) {
+      const BucketHash h(seed, m);
+      for (const uint64_t start : kRangeStarts) {
+        for (const size_t n : RangeLengths()) {
+          std::vector<uint32_t> out(n);
+          h.HashRange(start, out);
+          EXPECT_EQ(FirstMismatch(start, out, n, h), n)
+              << "seed " << seed << " m " << m << " start " << start
+              << " length " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(SignHashTest, HashRangeEqualsScalar) {
+  for (const uint64_t seed : {1ULL, 77ULL, 0xdeadbeefULL, 12345ULL}) {
+    const SignHash h(seed);
+    for (const uint64_t start : kRangeStarts) {
+      for (const size_t n : RangeLengths()) {
+        std::vector<int8_t> out(n);
+        h.HashRange(start, out);
+        EXPECT_EQ(FirstMismatch(start, out, n, h), n)
+            << "seed " << seed << " start " << start << " length " << n;
+      }
+    }
+  }
+}
+
+TEST(SignHashTest, HashRangeEndsExactlyAtP) {
+  const SignHash h(3);
+  std::vector<int8_t> out(300);
+  h.HashRange(kMersenne61 - out.size(), out);
+  EXPECT_EQ(FirstMismatch(kMersenne61 - out.size(), out, out.size(), h),
+            out.size());
+  h.HashRange(kMersenne61, std::span<int8_t>());  // empty range at p
+}
+
+// The forward-difference contract: every input of the range stays below p.
+TEST(SignHashDeathTest, HashRangeCrossingPAborts) {
+  const SignHash h(3);
+  std::vector<int8_t> out(11);
+  EXPECT_DEATH(h.HashRange(kMersenne61 - 10, out), "LDPJS_CHECK failed");
+  EXPECT_DEATH(h.HashRange(~uint64_t{0}, std::span<int8_t>(out.data(), 1)),
+               "LDPJS_CHECK failed");
+}
+
+TEST(BucketHashDeathTest, HashRangeWrappingPast64BitsAborts) {
+  const BucketHash h(3, 1024);
+  std::vector<uint32_t> out(2);
+  EXPECT_DEATH(h.HashRange(~uint64_t{0}, out), "LDPJS_CHECK failed");
+  h.HashRange(~uint64_t{0}, std::span<uint32_t>(out.data(), 1));
+  EXPECT_EQ(out[0], h(~uint64_t{0}));
+}
+
 }  // namespace
 }  // namespace ldpjs

@@ -1,9 +1,13 @@
 #include "core/ldp_join_sketch_plus.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/freq_items.h"
 #include "core/join_est.h"
 #include "core/simulation.h"
@@ -75,6 +79,104 @@ TEST(FreqItemsTest, MassEstimateTracksTruth) {
   for (uint64_t d : items) truth += static_cast<double>(freq[d]);
   const double est = EstimateFrequentMass(sketch, items, 1.0);
   EXPECT_NEAR(est / truth, 1.0, 0.1);
+}
+
+// The block-scan kernel against the per-value FrequencyEstimate reference,
+// bit for bit, on domains that are not a multiple of the 256-value block:
+// 301 values keep the two-sketch scan below kMinSharedParallelWork (serial),
+// 100003 put it above (sharded across the pool).
+class FreqItemsScanTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FreqItemsScanTest, FusedScanMatchesPerValueReference) {
+  const uint64_t domain = GetParam();
+  const JoinWorkload w = MakeZipfWorkload(1.2, domain, 60000, 83);
+  SimulationOptions sim;
+  sim.run_seed = 89;
+  const LdpJoinSketchServer sa =
+      BuildLdpJoinSketch(w.table_a, TestParams(), 4.0, sim);
+  sim.run_seed = 97;
+  const LdpJoinSketchServer sb =
+      BuildLdpJoinSketch(w.table_b, TestParams(), 4.0, sim);
+  const double threshold_a = 0.004 * static_cast<double>(w.table_a.size());
+  const double threshold_b = 0.006 * static_cast<double>(w.table_b.size());
+
+  const FrequentItemsWithMass fused =
+      FindFrequentItemsWithMass(sa, sb, domain, threshold_a, threshold_b);
+  const std::unordered_set<uint64_t> fi =
+      FindFrequentItemsUnion(sa, sb, domain, threshold_a, threshold_b);
+  const std::unordered_set<uint64_t> fi_a =
+      FindFrequentItems(sa, domain, threshold_a);
+  const std::vector<double> all_a = sa.EstimateAllFrequencies(domain);
+  ASSERT_EQ(all_a.size(), domain);
+  size_t mismatches = 0;
+  for (uint64_t d = 0; d < domain; ++d) {
+    const double fa = sa.FrequencyEstimate(d);
+    const bool hot = fa > threshold_a || sb.FrequencyEstimate(d) > threshold_b;
+    mismatches += (std::bit_cast<uint64_t>(all_a[d]) !=
+                   std::bit_cast<uint64_t>(fa)) ||
+                  fi.contains(d) != hot || fused.items.contains(d) != hot ||
+                  fi_a.contains(d) != (fa > threshold_a);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(fused.items.size(), fi.size());
+  EXPECT_GT(fi.size(), 0u);
+  EXPECT_LT(fi.size(), domain);
+  EXPECT_EQ(std::bit_cast<uint64_t>(fused.mass_a),
+            std::bit_cast<uint64_t>(EstimateFrequentMass(sa, fi, 1.0)));
+  EXPECT_EQ(std::bit_cast<uint64_t>(fused.mass_b),
+            std::bit_cast<uint64_t>(EstimateFrequentMass(sb, fi, 1.0)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Domains, FreqItemsScanTest,
+                         ::testing::Values(301, 100003));
+// The scan's work estimate is domain·k·sketches.
+static_assert(301 * 18 * 2 < kMinSharedParallelWork);
+static_assert(100003 * 18 * 2 >= kMinSharedParallelWork);
+
+TEST(FrequentItemSetTest, MembershipMatchesSourceSet) {
+  const std::unordered_set<uint64_t> empty_source;
+  for (const FrequentItemSet& empty :
+       {FrequentItemSet(), FrequentItemSet{}, FrequentItemSet(empty_source)}) {
+    EXPECT_EQ(empty.size(), 0u);
+    for (const uint64_t d : {0ULL, 1ULL, 63ULL, 64ULL, 1000000ULL}) {
+      EXPECT_FALSE(empty.contains(d));
+    }
+  }
+
+  const FrequentItemSet listed{1, 2, 3};
+  EXPECT_EQ(listed.size(), 3u);
+  for (uint64_t d = 0; d < 200; ++d) {
+    EXPECT_EQ(listed.contains(d), d >= 1 && d <= 3) << d;
+  }
+
+  // Random members, word edges included, probed past the largest member.
+  std::unordered_set<uint64_t> source{0, 63, 64, 127, 128, 4095};
+  Xoshiro256 rng(101);
+  for (int i = 0; i < 2000; ++i) source.insert(rng.NextBounded(50000));
+  const FrequentItemSet bitmap(source);
+  EXPECT_EQ(bitmap.size(), source.size());
+  size_t mismatches = 0;
+  for (uint64_t d = 0; d < 50200; ++d) {
+    mismatches += bitmap.contains(d) != source.contains(d);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_FALSE(bitmap.contains(~uint64_t{0}));
+
+  // Back to a hash set: the same members, iterated in the order of ascending
+  // inserts into a default-constructed set.
+  std::unordered_set<uint64_t> ascending;
+  for (uint64_t d = 0; d < 50000; ++d) {
+    if (source.contains(d)) ascending.insert(d);
+  }
+  const std::unordered_set<uint64_t> round_trip = bitmap.ToUnorderedSet();
+  EXPECT_EQ(round_trip, source);
+  EXPECT_TRUE(std::equal(round_trip.begin(), round_trip.end(),
+                         ascending.begin(), ascending.end()));
+}
+
+TEST(FrequentItemSetDeathTest, MembersAbove32BitsAbort) {
+  const std::unordered_set<uint64_t> huge{uint64_t{1} << 40};
+  EXPECT_DEATH(FrequentItemSet{huge}, "LDPJS_CHECK failed");
 }
 
 TEST(JoinEstTest, LowModeRemovesHighFrequencyMass) {
@@ -223,6 +325,46 @@ TEST(LdpJoinSketchPlusTest, DeterministicForFixedSeedAndThreads) {
   const auto r2 = EstimateJoinSizePlus(w.table_a, w.table_b, params);
   EXPECT_EQ(r1.estimate, r2.estimate);
   EXPECT_EQ(r1.frequent_item_count, r2.frequent_item_count);
+}
+
+// Pins the estimator's outputs across builds, not just across two runs of
+// one build: any change to the Theorem-7 summation order, the FI set's
+// iteration order or the FAP target test shows up here as a bit difference.
+// The values were recorded from the per-value FrequencyEstimate reference.
+// At the default θ the phase-1 noise puts most of the domain in FI and both
+// masses clamp to |A|; θ = 0.03 leaves 14 items, whose unclamped mass sums
+// pin the summation order over the FI set.
+TEST(LdpJoinSketchPlusTest, PinnedOutputsAcrossBuilds) {
+  struct Pinned {
+    double threshold;
+    double estimate;
+    double mass_a;
+    double mass_b;
+    size_t frequent_items;
+  };
+  const Pinned pins[] = {
+      {0.001, 0x1.223d1597b4217p+30, 0x1.86ap+17, 0x1.86ap+17, 68855},
+      {0.03, 0x1.13f7e6d3f55b7p+30, 0x1.5907747dd6f64p+16,
+       0x1.5787a5a87ae0dp+16, 14},
+  };
+  const JoinWorkload w = MakeZipfWorkload(1.1, 100000, 200000, 61);
+  for (const Pinned& pin : pins) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "threshold " << pin.threshold
+                                      << " threads " << threads);
+      LdpJoinSketchPlusParams params;
+      params.sketch = TestParams();
+      params.epsilon = 4.0;
+      params.threshold = pin.threshold;
+      params.simulation.run_seed = 67;
+      params.simulation.num_threads = threads;
+      const auto r = EstimateJoinSizePlus(w.table_a, w.table_b, params);
+      EXPECT_EQ(r.estimate, pin.estimate);
+      EXPECT_EQ(r.high_freq_mass_a, pin.mass_a);
+      EXPECT_EQ(r.high_freq_mass_b, pin.mass_b);
+      EXPECT_EQ(r.frequent_item_count, pin.frequent_items);
+    }
+  }
 }
 
 TEST(LdpJoinSketchPlusTest, HighFreqMassClampedToTableSize) {
