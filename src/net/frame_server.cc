@@ -174,6 +174,9 @@ void FrameServer::WaitConnDrained(Connection* conn) {
 void FrameServer::ReaderLoop(Connection* conn) {
   bool session_open = false;
   // --- Handshake: exactly one HELLO with matching session params. --------
+  // Every rejection answers ERROR and then shuts the socket down at once:
+  // a peer that pipelined frames behind its HELLO would otherwise park in
+  // send() until an unrelated accept or reader exit reaps the connection.
   auto hello_frame = ReadNetFrame(conn->socket, kMaxIngestFramePayload);
   if (hello_frame.ok() && hello_frame->type == NetFrameType::kHello) {
     conn->bytes_received.fetch_add(
@@ -181,20 +184,19 @@ void FrameServer::ReaderLoop(Connection* conn) {
         std::memory_order_relaxed);
     auto hello = DecodeHello(hello_frame->payload);
     if (!hello.ok()) {
+      // Bad magic, truncation, or a version other than kNetVersion.
       conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
       SendError(*conn, hello.status());
+      conn->socket.ShutdownBoth();
     } else if (!HelloMatches(*hello)) {
       handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
       SendError(*conn, Status::FailedPrecondition(
                            "session params mismatch: server sketch is k=" +
                            std::to_string(params_.k) +
                            " m=" + std::to_string(params_.m)));
+      conn->socket.ShutdownBoth();
     } else {
-      // Version negotiation: the session speaks min(theirs, ours). A v2
-      // peer keeps its exact v2 session; QUERY is gated on >= 3 below.
-      conn->version = std::min(hello->version, kNetVersion);
       SessionHelloOk ok;
-      ok.version = conn->version;
       ok.num_shards = static_cast<uint32_t>(aggregator_.num_shards());
       ok.acked_data = options_.backpressure == BackpressurePolicy::kShed;
       if (hello->has_region) {
@@ -226,9 +228,10 @@ void FrameServer::ReaderLoop(Connection* conn) {
   } else {
     conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
     SendError(*conn, Status::Corruption("expected HELLO"));
+    conn->socket.ShutdownBoth();
   }
 
-  // --- Frame loop: route DATA to a shard queue, handle control inline. ---
+  // --- Frame loop: one dispatch over the (unwrapped) frame type. ---------
   while (session_open) {
     auto frame = ReadNetFrame(conn->socket, max_session_payload_);
     if (!frame.ok()) {
@@ -257,21 +260,13 @@ void FrameServer::ReaderLoop(Connection* conn) {
       }
       break;
     }
-    // v4 trace envelope: unwrap it here so every downstream handler sees
-    // exactly the inner frame it would have seen on a bare session — the
-    // trace context rides alongside, it never changes the bytes handled.
+    // Trace envelope: unwrap it here so every handler sees exactly the
+    // inner frame it would have seen bare — the trace context rides
+    // alongside, it never changes the bytes handled.
     TraceContext trace;
     size_t payload_offset = 0;
-    NetFrameType effective_type = frame->type;
-    if (frame->type == NetFrameType::kTraced) {
-      if (conn->version < 4) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn, Status::FailedPrecondition(
-                             "TRACED requires LJSP v4; session negotiated v" +
-                             std::to_string(conn->version)));
-        conn->socket.ShutdownBoth();
-        break;
-      }
+    NetFrameType type = frame->type;
+    if (type == NetFrameType::kTraced) {
       auto traced = DecodeTraced(frame->payload);
       if (!traced.ok()) {
         conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
@@ -282,218 +277,61 @@ void FrameServer::ReaderLoop(Connection* conn) {
       trace.trace_id = traced->trace_id;
       trace.origin_ns = traced->origin_ns;
       payload_offset = kTracedHeaderBytes;
-      effective_type = traced->inner_type;
+      type = traced->inner_type;
     }
     const std::span<const uint8_t> payload =
         std::span<const uint8_t>(frame->payload).subspan(payload_offset);
-    const bool is_data = effective_type == NetFrameType::kData;
-    const bool is_query = effective_type == NetFrameType::kQuery;
-    const bool is_stats = effective_type == NetFrameType::kStatsRequest;
-    const bool is_stats_push = effective_type == NetFrameType::kStatsPush;
-    const bool is_fleet_stats =
-        effective_type == NetFrameType::kFleetStatsRequest;
-    const bool is_control = effective_type == NetFrameType::kSnapshot ||
-                            effective_type == NetFrameType::kEpochPush ||
-                            effective_type == NetFrameType::kFinalize ||
-                            effective_type == NetFrameType::kPing ||
-                            effective_type == NetFrameType::kBye;
-    if (!is_data && !is_control && !is_query && !is_stats && !is_stats_push &&
-        !is_fleet_stats) {
-      conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-      SendError(*conn, Status::Corruption("unexpected client frame type"));
-      conn->socket.ShutdownBoth();
-      break;
-    }
-    conn->frames_received.fetch_add(1, std::memory_order_relaxed);
-    conn->bytes_received.fetch_add(kFrameHeaderBytes + frame->payload.size(),
-                                   std::memory_order_relaxed);
-
-    if (is_stats) {
-      // Like QUERY, deliberately NOT behind WaitConnDrained: an ops probe
-      // must never stall behind (or hold up) a busy ingest queue.
-      if (conn->version < 4) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn,
-                  Status::FailedPrecondition(
-                      "STATS_REQUEST requires LJSP v4; session negotiated v" +
-                      std::to_string(conn->version)));
-        conn->socket.ShutdownBoth();
+    // Every client frame type is counted before it is handled; the
+    // `default` rejection below is not.
+    const auto count_received = [&] {
+      conn->frames_received.fetch_add(1, std::memory_order_relaxed);
+      conn->bytes_received.fetch_add(
+          kFrameHeaderBytes + frame->payload.size(), std::memory_order_relaxed);
+    };
+    switch (type) {
+      // QUERY and the stats frames are answered immediately, deliberately
+      // NOT behind WaitConnDrained: they read published state only, so they
+      // can never stall behind — or hold up — ingest or the finalize
+      // barrier, and a region's stats push lands even while its DATA queues.
+      case NetFrameType::kQuery:
+        count_received();
+        session_open = HandleQuery(*conn, payload, trace);
         break;
-      }
-      HandleStats(*conn);
-      continue;
-    }
-
-    if (is_stats_push || is_fleet_stats) {
-      // v5 fleet frames: telemetry, never behind the drain barrier — a
-      // region's stats push must land even while its data frames queue,
-      // and a dashboard scrape must never stall behind ingest.
-      if (conn->version < 5) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn,
-                  Status::FailedPrecondition(
-                      std::string(is_stats_push ? "STATS_PUSH"
-                                                : "FLEET_STATS_REQUEST") +
-                      " requires LJSP v5; session negotiated v" +
-                      std::to_string(conn->version)));
-        conn->socket.ShutdownBoth();
+      case NetFrameType::kStatsRequest:
+        count_received();
+        HandleStats(*conn);
         break;
-      }
-      if (is_stats_push) {
-        if (!HandleStatsPush(*conn, payload)) break;
-      } else {
+      case NetFrameType::kStatsPush:
+        count_received();
+        session_open = HandleStatsPush(*conn, payload);
+        break;
+      case NetFrameType::kFleetStatsRequest:
+        count_received();
         HandleFleetStats(*conn);
-      }
-      continue;
-    }
-
-    if (is_query) {
-      // Deliberately NOT behind WaitConnDrained: a query reads the latest
-      // published view and nothing else, so it can never stall behind —
-      // or hold up — ingest or the finalize barrier.
-      if (conn->version < 3) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        queries_rejected_.fetch_add(1, std::memory_order_relaxed);
-        query_kind_rejected_[6].fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn, Status::FailedPrecondition(
-                             "QUERY requires LJSP v3; session negotiated v" +
-                             std::to_string(conn->version)));
-        conn->socket.ShutdownBoth();
         break;
-      }
-      if (!HandleQuery(*conn, payload, trace)) break;
-      continue;
-    }
-
-    if (is_data) {
-      // Shard-affine routing: connection-local round-robin spreads a single
-      // heavy sender across every pump; any routing is bit-identical.
-      const size_t shard = conn->next_shard;
-      conn->next_shard = (conn->next_shard + 1) % lanes_.size();
-      ShardLane& lane = *lanes_[shard];
-      bool shed = false;
-      {
-        MutexLock lock(mu_);
-        if (options_.backpressure == BackpressurePolicy::kShed &&
-            lane.queue.size() >= options_.queue_capacity && !stopping_) {
-          shed = true;
-        } else {
-          // Block policy: park until the shard's pump makes space. During a
-          // stopping drain the frame is admitted regardless so the reader
-          // can reach the client's close — memory stays bounded at
-          // capacity + 1 per shard.
-          while (lane.queue.size() >= options_.queue_capacity && !stopping_) {
-            space_cv_.Wait(mu_);
-          }
-          ++conn->data_inflight;
-          PumpItem item;
-          item.conn = conn;
-          item.payload = std::move(frame->payload);
-          item.payload_offset = payload_offset;
-          item.trace = trace;
-          if (ObsEnabled()) item.enqueue_ns = NowNanos();
-          lane.queue.push_back(std::move(item));
-          // Writers are serialized by mu_, so load-then-store cannot lose
-          // an update; the atomic exists for the lock-free metrics read.
-          const uint64_t depth = lane.queue.size();
-          if (depth > lane.queue_high_water.load(std::memory_order_relaxed)) {
-            lane.queue_high_water.store(depth, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (shed) {
-        conn->frames_shed.fetch_add(1, std::memory_order_relaxed);
-        const uint8_t busy = static_cast<uint8_t>(DataAckCode::kBusy);
-        MutexLock g(conn->write_mu);
-        if (!WriteNetFrame(conn->socket, NetFrameType::kDataAck, {&busy, 1})
-                 .ok()) {
-          session_open = false;
-        }
-        continue;
-      }
-      lane.work_cv.NotifyOne();
-      if (options_.backpressure == BackpressurePolicy::kShed) {
-        const uint8_t ok = static_cast<uint8_t>(DataAckCode::kAbsorbed);
-        MutexLock g(conn->write_mu);
-        if (!WriteNetFrame(conn->socket, NetFrameType::kDataAck, {&ok, 1})
-                 .ok()) {
-          session_open = false;
-        }
-      }
-      continue;
-    }
-
-    // Control frames are ordered after every DATA frame this connection
-    // sent: wait for the pumps to absorb the connection's in-flight frames,
-    // then act — so SNAPSHOT_DATA / EPOCH_PUSH_OK / FINALIZE_OK / BYE_OK
-    // keep their "your data is in the lanes" meaning under multi-pump.
-    WaitConnDrained(conn);
-    switch (effective_type) {
+      case NetFrameType::kData:
+        count_received();
+        session_open = RouteData(conn, std::move(frame->payload),
+                                 payload_offset, trace);
+        break;
       case NetFrameType::kSnapshot:
-        HandleSnapshot(*conn);
-        break;
       case NetFrameType::kEpochPush:
-        HandleEpochPush(*conn, payload, trace);
+      case NetFrameType::kFinalize:
+      case NetFrameType::kPing:
+      case NetFrameType::kBye:
+        count_received();
+        // Ordered after every DATA frame this connection sent: wait for the
+        // pumps to absorb the connection's in-flight frames, then act — so
+        // SNAPSHOT_DATA / EPOCH_PUSH_OK / FINALIZE_OK / PING_OK / BYE_OK
+        // keep their "your data is in the lanes" meaning under multi-pump.
+        WaitConnDrained(conn);
+        session_open = HandleOrdered(*conn, type, payload, trace);
         break;
-      case NetFrameType::kFinalize: {
-        if (frame->payload.size() != 0 && frame->payload.size() != 4) {
-          // Only 0 (anonymous) or 4 (u32 region tag) are well-formed. A
-          // truncated/garbage tag must never fall through to the barrier
-          // below — counting it (as anything) could end a multi-region
-          // collection early. Reject, count, and close the offender.
-          conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-          SendError(*conn, Status::Corruption("malformed FINALIZE payload"));
-          conn->socket.ShutdownBoth();
-          session_open = false;
-          break;
-        }
-        // The finalizing client's frames are all drained (barrier above):
-        // publish them so queries arriving after the collection ends see
-        // the complete view.
-        PublishView();
-        {
-          MutexLock g(conn->write_mu);
-          if (!WriteNetFrame(conn->socket, NetFrameType::kFinalizeOk, {})
-                   .ok()) {
-            conn->socket.ShutdownBoth();
-          }
-        }
-        {
-          MutexLock lock(mu_);
-          if (frame->payload.size() == 4) {
-            // Region-tagged: idempotent — a retried forward after a lost
-            // FINALIZE_OK counts the region once, never twice.
-            uint32_t region = 0;
-            for (int i = 0; i < 4; ++i) {
-              region |= static_cast<uint32_t>(frame->payload[i]) << (8 * i);
-            }
-            finalized_regions_.insert(region);
-          } else {
-            ++anonymous_finalizes_;
-          }
-        }
-        finalize_cv_.NotifyAll();
-        break;
-      }
-      case NetFrameType::kPing: {
-        // The WaitConnDrained above is the whole point: PING_OK promises
-        // "everything you sent is in the lanes" without shipping them back.
-        // Republish before acking, so "ping, then query" reads your own
-        // writes from the published view.
-        PublishView();
-        MutexLock g(conn->write_mu);
-        if (!WriteNetFrame(conn->socket, NetFrameType::kPingOk, {}).ok()) {
-          conn->socket.ShutdownBoth();
-        }
-        break;
-      }
-      case NetFrameType::kBye: {
-        MutexLock g(conn->write_mu);
-        (void)WriteNetFrame(conn->socket, NetFrameType::kByeOk, {});
-        session_open = false;  // client is done sending
-        break;
-      }
       default:
+        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
+        SendError(*conn, Status::Corruption("unexpected client frame type"));
+        conn->socket.ShutdownBoth();
+        session_open = false;
         break;
     }
   }
@@ -508,6 +346,129 @@ void FrameServer::ReaderLoop(Connection* conn) {
     conn->reader_done = true;
   }
   drain_cv_.NotifyAll();
+}
+
+bool FrameServer::RouteData(Connection* conn, std::vector<uint8_t> payload,
+                            size_t payload_offset, const TraceContext& trace) {
+  // Shard-affine routing: connection-local round-robin spreads a single
+  // heavy sender across every pump; any routing is bit-identical.
+  const size_t shard = conn->next_shard;
+  conn->next_shard = (conn->next_shard + 1) % lanes_.size();
+  ShardLane& lane = *lanes_[shard];
+  bool shed = false;
+  {
+    MutexLock lock(mu_);
+    if (options_.backpressure == BackpressurePolicy::kShed &&
+        lane.queue.size() >= options_.queue_capacity && !stopping_) {
+      shed = true;
+    } else {
+      // Block policy: park until the shard's pump makes space. During a
+      // stopping drain the frame is admitted regardless so the reader can
+      // reach the client's close — memory stays bounded at capacity + 1
+      // per shard.
+      while (lane.queue.size() >= options_.queue_capacity && !stopping_) {
+        space_cv_.Wait(mu_);
+      }
+      ++conn->data_inflight;
+      PumpItem item;
+      item.conn = conn;
+      item.payload = std::move(payload);
+      item.payload_offset = payload_offset;
+      item.trace = trace;
+      if (ObsEnabled()) item.enqueue_ns = NowNanos();
+      lane.queue.push_back(std::move(item));
+      // Writers are serialized by mu_, so load-then-store cannot lose an
+      // update; the atomic exists for the lock-free metrics read.
+      const uint64_t depth = lane.queue.size();
+      if (depth > lane.queue_high_water.load(std::memory_order_relaxed)) {
+        lane.queue_high_water.store(depth, std::memory_order_relaxed);
+      }
+    }
+  }
+  if (shed) {
+    conn->frames_shed.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    lane.work_cv.NotifyOne();
+  }
+  if (options_.backpressure != BackpressurePolicy::kShed) return true;
+  const uint8_t code = static_cast<uint8_t>(shed ? DataAckCode::kBusy
+                                                 : DataAckCode::kAbsorbed);
+  MutexLock g(conn->write_mu);
+  return WriteNetFrame(conn->socket, NetFrameType::kDataAck, {&code, 1}).ok();
+}
+
+bool FrameServer::HandleOrdered(Connection& conn, NetFrameType type,
+                                std::span<const uint8_t> payload,
+                                const TraceContext& trace) {
+  switch (type) {
+    case NetFrameType::kSnapshot:
+      HandleSnapshot(conn);
+      return true;
+    case NetFrameType::kEpochPush:
+      HandleEpochPush(conn, payload, trace);
+      return true;
+    case NetFrameType::kFinalize:
+      return HandleFinalize(conn, payload);
+    case NetFrameType::kPing: {
+      // The drain barrier is the whole point: PING_OK promises "everything
+      // you sent is in the lanes" without shipping them back. Republish
+      // before acking, so "ping, then query" reads your own writes from the
+      // published view.
+      PublishView();
+      MutexLock g(conn.write_mu);
+      if (!WriteNetFrame(conn.socket, NetFrameType::kPingOk, {}).ok()) {
+        conn.socket.ShutdownBoth();
+      }
+      return true;
+    }
+    case NetFrameType::kBye:
+    default: {  // the reader passes only the five drain-ordered types
+      // The client is done sending.
+      MutexLock g(conn.write_mu);
+      (void)WriteNetFrame(conn.socket, NetFrameType::kByeOk, {});
+      return false;
+    }
+  }
+}
+
+bool FrameServer::HandleFinalize(Connection& conn,
+                                 std::span<const uint8_t> payload) {
+  if (payload.size() != 0 && payload.size() != 4) {
+    // Only 0 (anonymous) or 4 (u32 region tag) are well-formed. A
+    // truncated/garbage tag must never fall through to the barrier below —
+    // counting it (as anything) could end a multi-region collection early.
+    // Reject, count, and close the offender.
+    conn.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
+    SendError(conn, Status::Corruption("malformed FINALIZE payload"));
+    conn.socket.ShutdownBoth();
+    return false;
+  }
+  // The finalizing client's frames are all drained (the caller's barrier):
+  // publish them so queries arriving after the collection ends see the
+  // complete view.
+  PublishView();
+  {
+    MutexLock g(conn.write_mu);
+    if (!WriteNetFrame(conn.socket, NetFrameType::kFinalizeOk, {}).ok()) {
+      conn.socket.ShutdownBoth();
+    }
+  }
+  {
+    MutexLock lock(mu_);
+    if (payload.size() == 4) {
+      // Region-tagged: idempotent — a retried forward after a lost
+      // FINALIZE_OK counts the region once, never twice.
+      uint32_t region = 0;
+      for (int i = 0; i < 4; ++i) {
+        region |= static_cast<uint32_t>(payload[i]) << (8 * i);
+      }
+      finalized_regions_.insert(region);
+    } else {
+      ++anonymous_finalizes_;
+    }
+  }
+  finalize_cv_.NotifyAll();
+  return true;
 }
 
 void FrameServer::HandleSnapshot(Connection& conn) {
@@ -1096,7 +1057,7 @@ NetMetrics FrameServer::metrics() const {
     }
   }
   // Rejects attributable to a kind; slot 6 collects the ones whose kind
-  // never decoded (corrupt payload, pre-v3 session).
+  // never decoded (corrupt payload).
   for (size_t i = 0; i < 7; ++i) {
     const uint64_t rejected =
         query_kind_rejected_[i].load(std::memory_order_relaxed);

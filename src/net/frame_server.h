@@ -207,7 +207,7 @@ class FrameServer {
   /// The JSON a STATS frame answers with: the stats_metrics_source (or the
   /// server's own metrics()) serialized together with the process-global
   /// registry through the one shared serializer (obs/stats_export.h) —
-  /// plus, since v5, "health" (this server's own verdict), "fleet" (the
+  /// plus "health" (this server's own verdict), "fleet" (the
   /// merged view over pushed region snapshots; empty regions list when
   /// nothing has pushed), and "events" (the bounded transition ring).
   std::string StatsJson() const;
@@ -226,9 +226,6 @@ class FrameServer {
   struct Connection {
     uint64_t id = 0;
     Socket socket;
-    /// Negotiated LJSP version (min of client's HELLO and ours). QUERY is
-    /// only legal at >= 3; a v2 session sending one gets ERROR + close.
-    uint8_t version = kNetVersion;
     std::thread reader;
     /// Serializes socket writes (acks, replies). A nested struct cannot
     /// name the owning server's mu_ in a GUARDED_BY, so the two fields
@@ -290,6 +287,21 @@ class FrameServer {
   /// Blocks until every DATA frame `conn` enqueued has been absorbed — the
   /// ordering barrier control frames ride on.
   void WaitConnDrained(Connection* conn);
+  /// Queues one DATA frame (`payload` from `payload_offset` on) for the
+  /// connection's next shard, parking under kBlock or shedding under kShed
+  /// when the queue is full; kShed acks it either way. Returns false when
+  /// the ack could not be written.
+  bool RouteData(Connection* conn, std::vector<uint8_t> payload,
+                 size_t payload_offset, const TraceContext& trace);
+  /// Handles SNAPSHOT / EPOCH_PUSH / FINALIZE / PING / BYE once the drain
+  /// barrier has passed. Returns false when the session is over (BYE, or a
+  /// malformed FINALIZE).
+  bool HandleOrdered(Connection& conn, NetFrameType type,
+                     std::span<const uint8_t> payload,
+                     const TraceContext& trace);
+  /// Counts a FINALIZE (anonymous, or once per region tag), republishes and
+  /// acks. Returns false on a malformed payload (connection cut).
+  bool HandleFinalize(Connection& conn, std::span<const uint8_t> payload);
   void HandleSnapshot(Connection& conn);
   void HandleEpochPush(Connection& conn, std::span<const uint8_t> payload,
                        const TraceContext& trace);
@@ -369,7 +381,7 @@ class FrameServer {
   bool finalized_ LDPJS_GUARDED_BY(mu_) = false;
   /// RCU-published lifetime view (see CurrentPublishedView).
   ViewPublisher publisher_;
-  /// Query counters: answered frames, rejected (corrupt/invalid/v2), and
+  /// Query counters: answered frames, rejected (corrupt/invalid), and
   /// per-kind served/rejected rows. Lock-free — queries never touch mu_.
   /// Slot 6 of the rejected array is "unknown": the kind never decoded.
   std::atomic<uint64_t> query_frames_{0};
@@ -391,7 +403,7 @@ class FrameServer {
   ObsHistogram* query_error_latency_hist_ = nullptr;
   ObsHistogram* query_kind_latency_[6] = {};
   ObsGauge* view_last_publish_gauge_ = nullptr;
-  /// v5 fleet state. Both are internally synchronized; `mutable` because
+  /// Fleet state. Both are internally synchronized; `mutable` because
   /// StatsJson() — a const read — evaluates local health and must record
   /// the transition it observes (the read is when a state change becomes
   /// visible, so that is when the event exists).

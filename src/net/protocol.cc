@@ -11,12 +11,21 @@ bool IsKnownFrameType(uint8_t type) {
          type <= static_cast<uint8_t>(NetFrameType::kFleetStats);
 }
 
+/// The one version check of the protocol: a peer speaking anything but
+/// kNetVersion cannot be served, and the message says both versions.
+Status CheckVersion(uint8_t version, const char* frame) {
+  if (version == kNetVersion) return Status::OK();
+  return Status::Corruption(std::string(frame) + " speaks LJSP version " +
+                            std::to_string(version) + "; this build speaks " +
+                            std::to_string(kNetVersion));
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeHello(const SessionHello& hello) {
   BinaryWriter writer;
   writer.PutU32(kNetMagic);
-  writer.PutU8(hello.version);
+  writer.PutU8(kNetVersion);
   writer.PutU32(hello.k);
   writer.PutU32(hello.m);
   writer.PutU64(hello.seed);
@@ -35,16 +44,7 @@ Result<SessionHello> DecodeHello(std::span<const uint8_t> payload) {
   }
   auto version = reader.GetU8();
   if (!version.ok()) return version.status();
-  // The HELLO layout is identical across every version we speak, so any
-  // version in [kNetMinVersion, kNetVersion] parses; the server answers
-  // with the negotiated minimum. Anything outside the band is rejected —
-  // a future layout change could not be parsed here anyway.
-  if (*version < kNetMinVersion || *version > kNetVersion) {
-    return Status::Corruption("unsupported LJSP protocol version " +
-                              std::to_string(*version));
-  }
-  SessionHello hello;
-  hello.version = *version;
+  LDPJS_RETURN_IF_ERROR(CheckVersion(*version, "HELLO"));
   auto k = reader.GetU32();
   if (!k.ok()) return k.status();
   auto m = reader.GetU32();
@@ -61,6 +61,7 @@ Result<SessionHello> DecodeHello(std::span<const uint8_t> payload) {
   auto region = reader.GetU32();
   if (!region.ok()) return region.status();
   if (!reader.AtEnd()) return Status::Corruption("trailing bytes after HELLO");
+  SessionHello hello;
   hello.k = *k;
   hello.m = *m;
   hello.seed = *seed;
@@ -72,7 +73,7 @@ Result<SessionHello> DecodeHello(std::span<const uint8_t> payload) {
 
 std::vector<uint8_t> EncodeHelloOk(const SessionHelloOk& ok) {
   BinaryWriter writer;
-  writer.PutU8(ok.version);
+  writer.PutU8(kNetVersion);
   writer.PutU32(ok.num_shards);
   writer.PutU8(ok.acked_data ? 1 : 0);
   writer.PutU64(ok.region_next_epoch);
@@ -83,17 +84,20 @@ Result<SessionHelloOk> DecodeHelloOk(std::span<const uint8_t> payload) {
   BinaryReader reader(payload);
   auto version = reader.GetU8();
   if (!version.ok()) return version.status();
+  LDPJS_RETURN_IF_ERROR(CheckVersion(*version, "HELLO_OK"));
   auto shards = reader.GetU32();
   if (!shards.ok()) return shards.status();
   auto acked = reader.GetU8();
   if (!acked.ok()) return acked.status();
+  if (*acked > 1) {
+    return Status::Corruption("HELLO_OK ack-mode flag is not 0 or 1");
+  }
   auto next_epoch = reader.GetU64();
   if (!next_epoch.ok()) return next_epoch.status();
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after HELLO_OK");
   }
   SessionHelloOk ok;
-  ok.version = *version;
   ok.num_shards = *shards;
   ok.acked_data = *acked != 0;
   ok.region_next_epoch = *next_epoch;

@@ -1,5 +1,7 @@
-// LJSP session protocol v1: the framing and handshake the TCP front end
-// speaks between FrameSender clients and the FrameServer.
+// LJSP, the session protocol the TCP front end speaks between FrameSender
+// clients and the FrameServer. There is exactly one protocol version
+// (kNetVersion): a HELLO announcing any other version is rejected with
+// ERROR and the connection is closed.
 //
 // Transport framing (everything little-endian):
 //
@@ -28,6 +30,17 @@
 // ingested" guarantee (control frames are ordered after the connection's
 // DATA), and the server may tear the session down right after confirming.
 //
+// The rest of the frame set, all available on every session:
+//   - Federation: a regional aggregator announces its region id in the
+//     HELLO (HELLO_OK answers with the server's next-expected epoch for
+//     it) and ships epoch snapshots with EPOCH_PUSH / EPOCH_PUSH_OK.
+//   - Read path: QUERY is answered from the server's RCU-published
+//     finalized view (service/published_view.h), never behind ingest.
+//   - Observability: STATS_REQUEST returns the stats JSON; a TRACED
+//     envelope wraps a DATA, EPOCH_PUSH or QUERY frame with a trace
+//     context; STATS_PUSH ships a region's raw metrics upstream and
+//     FLEET_STATS_REQUEST reads the central's merged fleet view.
+//
 // DATA payloads are exactly the "LJSB" batch-envelope records the in-process
 // service ingests (EncodeReportBatch), so the network tier adds framing and
 // flow control but never re-encodes reports — which is what makes the TCP
@@ -48,49 +61,14 @@
 namespace ldpjs {
 
 inline constexpr uint32_t kNetMagic = 0x50534A4CU;  // "LJSP" little-endian
-/// v2: HELLO may announce a region id and HELLO_OK answers with the
-/// server's next-expected epoch for that region (the restart/resume sync);
-/// EPOCH_PUSH_OK carries the same next-epoch alongside its ack code; PING/
-/// PING_OK give clients a cheap ordered-after-DATA ingest barrier. v1
-/// peers are rejected at the handshake with a clear error.
-///
-/// v3: the HELLO carries the client's version and the HELLO_OK echoes the
-/// negotiated one (min of the two sides), so v2 peers keep working
-/// unchanged; on a v3 session the client may send QUERY frames — join-size
-/// / frequency / frequent-items / multiway-chain / AQP range estimates
-/// answered from the server's RCU-published finalized view (see
-/// service/published_view.h) without ever touching the ingest locks. A v2
-/// session sending QUERY gets ERROR + close.
-///
-/// v4: observability. Negotiated in HELLO exactly like v3 (the HELLO/
-/// HELLO_OK layout is unchanged, only the accepted band widens), so v2/v3
-/// peers keep working byte-for-byte. On a v4 session the client may send
-/// STATS_REQUEST (answered immediately with a STATS JSON frame, never
-/// behind the ingest drain barrier) and may wrap a DATA/EPOCH_PUSH/QUERY
-/// frame in a TRACED envelope carrying a compact trace context — a u64
-/// trace id plus the wall-clock origin timestamp stamped where the batch
-/// was encoded — so a sampled batch can be timed across every tier it
-/// crosses. Untraced frames are byte-identical to v3, preserving the
-/// bit-identity invariant of the ingest path.
-///
-/// v5: fleet observability. Negotiated in HELLO exactly like v3/v4 (the
-/// HELLO/HELLO_OK layout is unchanged, only the accepted band widens), so
-/// v2..v4 peers keep working byte-for-byte. On a v5 session a regional
-/// aggregator may ship its full stats snapshot upstream with STATS_PUSH —
-/// counters, gauges, and *raw* log2 histogram buckets, never precomputed
-/// percentiles, because bucket arrays merge losslessly by elementwise
-/// addition (the same mergeability argument that federates the sketches)
-/// — and any client may ask the central for its merged fleet view with
-/// FLEET_STATS_REQUEST. A v4-or-older session sending either gets ERROR +
-/// close; a v5 client talking to a v4 server refuses locally without
-/// touching the wire.
+/// The protocol version: the byte every HELLO and HELLO_OK carries.
 inline constexpr uint8_t kNetVersion = 5;
-/// Oldest protocol version this build still speaks.
-inline constexpr uint8_t kNetMinVersion = 2;
 
 /// Frame types. Client→server: kHello, kData, kSnapshot, kFinalize, kBye,
-/// kEpochPush, kPing. Server→client: kHelloOk, kDataAck, kSnapshotData,
-/// kFinalizeOk, kByeOk, kError, kEpochPushOk, kPingOk.
+/// kEpochPush, kPing, kQuery, kStatsRequest, kTraced, kStatsPush,
+/// kFleetStatsRequest. Server→client: kHelloOk, kDataAck, kSnapshotData,
+/// kFinalizeOk, kByeOk, kError, kEpochPushOk, kPingOk, kQueryOk, kStats,
+/// kStatsPushOk, kFleetStats.
 enum class NetFrameType : uint8_t {
   kHello = 1,
   kHelloOk = 2,
@@ -127,7 +105,7 @@ enum class NetFrameType : uint8_t {
   /// cut, where SNAPSHOT (which ships the full lanes back) would be waste.
   kPing = 14,
   kPingOk = 15,
-  /// v3 read path: one query against the server's published finalized view.
+  /// Read path: one query against the server's published finalized view.
   /// Payload: a QueryRequest (see below). Unlike the other non-DATA frames
   /// a QUERY is NOT ordered after the connection's DATA — it is answered
   /// immediately from the latest published snapshot, so a query can never
@@ -138,7 +116,7 @@ enum class NetFrameType : uint8_t {
   /// Payload: a QueryResponse — the answer plus the identity (sequence /
   /// epoch / report count) of the published view that produced it.
   kQueryOk = 17,
-  /// v4 read path: ask the server for its stats snapshot. Empty payload;
+  /// Ops read path: ask the server for its stats snapshot. Empty payload;
   /// answered immediately with kStats (like QUERY, a stats scrape is never
   /// ordered behind the connection's DATA — an ops probe must not stall on
   /// a busy ingest queue).
@@ -146,14 +124,14 @@ enum class NetFrameType : uint8_t {
   /// Payload: one UTF-8 JSON object (see obs/stats_export.h) — the same
   /// serializer output the SIGUSR1 dump and the JSONL exporter emit.
   kStats = 19,
-  /// v4 trace envelope: u8 inner frame type (kData, kEpochPush or kQuery)
+  /// Trace envelope: u8 inner frame type (kData, kEpochPush or kQuery)
   /// + u64 trace_id + u64 origin_ns, then the inner frame's payload
   /// unchanged to the end of the frame. The receiver unwraps, notes the
   /// trace context, and handles the inner frame exactly as if it had
   /// arrived bare — tracing rides alongside the bytes, it never re-encodes
   /// them.
   kTraced = 20,
-  /// v5 fleet telemetry: a regional node ships its stats snapshot to the
+  /// Fleet telemetry: a regional node ships its stats snapshot to the
   /// central. Payload: a FleetSnapshot (see obs/fleet_stats.h) — u32
   /// region_id, u64 capture timestamp, then the registry's counters,
   /// gauges, and histograms with raw bucket arrays. Like STATS_REQUEST it
@@ -164,7 +142,7 @@ enum class NetFrameType : uint8_t {
   /// Ack for kStatsPush (empty payload): the snapshot is in the central's
   /// per-region fleet store.
   kStatsPushOk = 22,
-  /// v5 fleet read path: ask the central for its merged fleet view. Empty
+  /// Fleet read path: ask the central for its merged fleet view. Empty
   /// payload; answered immediately with kFleetStats.
   kFleetStatsRequest = 23,
   /// Payload: a FleetView (see obs/fleet_stats.h) — every region's last
@@ -201,18 +179,15 @@ enum class DataAckCode : uint8_t {
   kBusy = 1,  ///< shed by backpressure — retriable
 };
 
-/// HELLO payload: the sketch session parameters. The server accepts a
-/// connection only if every field matches its own configuration bit for bit
-/// (mismatched params would silently poison lanes, never mergeable).
+/// HELLO payload: magic, kNetVersion, then the sketch session parameters.
+/// The server accepts a connection only if every field matches its own
+/// configuration bit for bit (mismatched params would silently poison
+/// lanes, never mergeable).
 /// A regional aggregator's upstream session additionally announces its
 /// region id, so the HELLO_OK can carry the server's next-expected epoch
 /// for that region — the sync a restarted incarnation uses to number its
 /// epochs above everything its predecessor already shipped.
 struct SessionHello {
-  /// The client's protocol version. The server accepts any version in
-  /// [kNetMinVersion, kNetVersion] and answers with the negotiated session
-  /// version (the minimum of the two sides) in HELLO_OK.
-  uint8_t version = kNetVersion;
   uint32_t k = 0;
   uint32_t m = 0;
   uint64_t seed = 0;
@@ -222,21 +197,24 @@ struct SessionHello {
 };
 
 std::vector<uint8_t> EncodeHello(const SessionHello& hello);
+/// Corruption on bad magic, a version other than kNetVersion, a region flag
+/// other than 0/1, truncation, or trailing bytes.
 Result<SessionHello> DecodeHello(std::span<const uint8_t> payload);
 
-/// HELLO_OK payload: protocol version echo plus the server's shard count
+/// HELLO_OK payload: kNetVersion plus the server's shard count
 /// and whether every DATA frame will be acked (shed-mode flow control).
 /// `region_next_epoch` answers a region-announcing HELLO with the first
 /// epoch the server has NOT applied for that region (0 when the region has
 /// never pushed, or when the HELLO carried no region).
 struct SessionHelloOk {
-  uint8_t version = kNetVersion;
   uint32_t num_shards = 0;
   bool acked_data = false;
   uint64_t region_next_epoch = 0;
 };
 
 std::vector<uint8_t> EncodeHelloOk(const SessionHelloOk& ok);
+/// As strict as DecodeHello: Corruption on a version other than kNetVersion,
+/// an ack-mode byte other than 0/1, truncation, or trailing bytes.
 Result<SessionHelloOk> DecodeHelloOk(std::span<const uint8_t> payload);
 
 /// EPOCH_PUSH_OK result code.
@@ -341,7 +319,7 @@ struct QueryResponse {
 std::vector<uint8_t> EncodeQueryResponse(const QueryResponse& response);
 Result<QueryResponse> DecodeQueryResponse(std::span<const uint8_t> payload);
 
-/// One decoded TRACED envelope (v4): the inner frame type, the trace
+/// One decoded TRACED envelope: the inner frame type, the trace
 /// context, and a zero-copy view of the inner payload.
 struct TracedFrame {
   NetFrameType inner_type = NetFrameType::kData;

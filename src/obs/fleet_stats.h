@@ -1,5 +1,5 @@
-// Fleet stats: the wire shape and central-side store behind LJSP v5
-// STATS_PUSH / FLEET_STATS.
+// Fleet stats: the wire shape and central-side store behind the LJSP
+// STATS_PUSH / FLEET_STATS frames.
 //
 // A FleetSnapshot is one region's registry snapshot — counters, gauges,
 // and histograms with their RAW log2 bucket arrays. Percentiles are never

@@ -157,6 +157,84 @@ TEST(NetLoopbackTest, HelloMismatchRejectedAndCounted) {
   EXPECT_EQ(server.metrics().handshakes_rejected, 2u);
 }
 
+// A rejected handshake — a HELLO speaking another protocol version, or one
+// with the wrong sketch params — is answered with ERROR and the socket is
+// shut down at once: the peer's next read sees EOF (or a reset), never its
+// own recv deadline, and a peer that pipelined frames behind its HELLO is
+// not left parked in send().
+TEST(NetLoopbackTest, RejectedHandshakesCloseTheConnection) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  FrameServer server(params, epsilon, FrameServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  SessionHello fields;
+  fields.k = static_cast<uint32_t>(params.k);
+  fields.m = static_cast<uint32_t>(params.m);
+  fields.seed = params.seed;
+  fields.epsilon = epsilon;
+  const auto with_version = [&](uint8_t version) {
+    std::vector<uint8_t> bytes = EncodeHello(fields);
+    bytes[4] = version;  // the version byte follows the u32 magic
+    return bytes;
+  };
+  SessionHello mismatched = fields;
+  mismatched.m *= 2;
+
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> hello;
+    StatusCode code;
+    uint64_t corrupt_delta;
+    uint64_t rejected_delta;
+  };
+  const Case cases[] = {
+      {"version 4", with_version(4), StatusCode::kCorruption, 1, 0},
+      {"version 6", with_version(6), StatusCode::kCorruption, 1, 0},
+      {"params mismatch", EncodeHello(mismatched),
+       StatusCode::kFailedPrecondition, 0, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const NetMetrics before = server.metrics();
+    auto socket = Socket::ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(socket.ok());
+    socket->SetRecvTimeout(3);
+    ASSERT_TRUE(WriteNetFrame(*socket, NetFrameType::kHello, c.hello).ok());
+    auto reply = ReadNetFrame(*socket, kMaxControlFramePayload);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->type, NetFrameType::kError);
+    EXPECT_EQ(DecodeErrorPayload(reply->payload).code(), c.code);
+    auto next = ReadNetFrame(*socket, kMaxControlFramePayload);
+    ASSERT_FALSE(next.ok());
+    EXPECT_NE(next.status().code(), StatusCode::kDeadlineExceeded)
+        << "the server left the rejected connection open";
+    const NetMetrics after = server.metrics();
+    EXPECT_EQ(after.corrupt_frames_rejected - before.corrupt_frames_rejected,
+              c.corrupt_delta);
+    EXPECT_EQ(after.handshakes_rejected - before.handshakes_rejected,
+              c.rejected_delta);
+  }
+
+  // The server still ingests and answers queries for a well-behaved peer.
+  LdpJoinSketchClient client(params, epsilon);
+  const std::vector<LdpReport> reports = PerturbColumn(client, 3000, 5);
+  auto sender =
+      FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+  ASSERT_TRUE(sender->SendReports(reports).ok());
+  ASSERT_TRUE(sender->Ping().ok());
+  QueryRequest request;
+  request.kind = QueryKind::kFrequency;
+  request.key = 7;
+  auto answered = sender->Query(request);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered->view_reports, reports.size());
+  ASSERT_TRUE(sender->Finish().ok());
+  server.Stop();
+  EXPECT_EQ(server.metrics().reports_ingested, reports.size());
+}
+
 TEST(NetLoopbackTest, MalformedFramesAreCountedAndServerSurvives) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;

@@ -59,15 +59,28 @@ TEST(NetProtocolTest, HelloRejectsBadMagicVersionAndTruncation) {
   hello.k = 4;
   hello.m = 64;
   std::vector<uint8_t> bytes = EncodeHello(hello);
+  // The version byte follows the u32 magic; the one version decodes.
+  ASSERT_EQ(bytes[4], kNetVersion);
+  EXPECT_TRUE(DecodeHello(bytes).ok());
   {
     std::vector<uint8_t> bad = bytes;
     bad[0] ^= 0xFF;  // magic
     EXPECT_EQ(DecodeHello(bad).status().code(), StatusCode::kCorruption);
   }
-  {
+  // Every other version is refused, older and newer alike, and the error
+  // names both the peer's version and the one this build speaks.
+  for (const uint8_t version : {1, 2, 4, 6, 99}) {
     std::vector<uint8_t> bad = bytes;
-    bad[4] = 99;  // version
-    EXPECT_EQ(DecodeHello(bad).status().code(), StatusCode::kCorruption);
+    bad[4] = version;
+    const Status status = DecodeHello(bad).status();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption)
+        << "version=" << static_cast<int>(version);
+    EXPECT_NE(status.message().find("version " + std::to_string(version)),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("speaks " + std::to_string(kNetVersion)),
+              std::string::npos)
+        << status.ToString();
   }
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::vector<uint8_t> bad(bytes.begin(),
@@ -81,39 +94,42 @@ TEST(NetProtocolTest, HelloRejectsBadMagicVersionAndTruncation) {
   }
 }
 
-TEST(NetProtocolTest, HelloVersionBandIsStrict) {
-  SessionHello hello;
-  hello.k = 18;
-  hello.m = 1024;
-  // v2 peers stay welcome (the band's floor), v3 is the default.
-  hello.version = 2;
-  auto v2 = DecodeHello(EncodeHello(hello));
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2->version, 2);
-  hello.version = kNetVersion;
-  auto v3 = DecodeHello(EncodeHello(hello));
-  ASSERT_TRUE(v3.ok());
-  EXPECT_EQ(v3->version, kNetVersion);
-  // v1 (below the floor) and a from-the-future v4 are both rejected.
-  for (const uint8_t version : {uint8_t{1}, uint8_t{kNetVersion + 1}}) {
-    hello.version = version;
-    EXPECT_EQ(DecodeHello(EncodeHello(hello)).status().code(),
-              StatusCode::kCorruption)
-        << "version=" << static_cast<int>(version);
-  }
-}
-
 TEST(NetProtocolTest, HelloOkRoundTrips) {
   SessionHelloOk ok;
   ok.num_shards = 7;
   ok.acked_data = true;
   ok.region_next_epoch = 0x1122334455667788ULL;
-  auto decoded = DecodeHelloOk(EncodeHelloOk(ok));
+  const std::vector<uint8_t> bytes = EncodeHelloOk(ok);
+  ASSERT_EQ(bytes[0], kNetVersion);
+  auto decoded = DecodeHelloOk(bytes);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->version, kNetVersion);
   EXPECT_EQ(decoded->num_shards, 7u);
   EXPECT_TRUE(decoded->acked_data);
   EXPECT_EQ(decoded->region_next_epoch, 0x1122334455667788ULL);
+
+  // As strict as DecodeHello: any other version is corruption...
+  for (const uint8_t version : {1, 2, 4, 6}) {
+    std::vector<uint8_t> bad = bytes;
+    bad[0] = version;
+    EXPECT_EQ(DecodeHelloOk(bad).status().code(), StatusCode::kCorruption)
+        << "version=" << static_cast<int>(version);
+  }
+  // ...so is an ack-mode byte other than 0/1 (it follows u8 + u32)...
+  for (const uint8_t acked : {2, 0xFF}) {
+    std::vector<uint8_t> bad = bytes;
+    bad[5] = acked;
+    EXPECT_EQ(DecodeHelloOk(bad).status().code(), StatusCode::kCorruption)
+        << "acked=" << static_cast<int>(acked);
+  }
+  // ...and every truncation or trailing byte.
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<uint8_t> bad(bytes.begin(),
+                                   bytes.begin() + static_cast<long>(cut));
+    EXPECT_FALSE(DecodeHelloOk(bad).ok()) << "cut=" << cut;
+  }
+  std::vector<uint8_t> trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_EQ(DecodeHelloOk(trailing).status().code(), StatusCode::kCorruption);
 }
 
 TEST(NetProtocolTest, EpochPushAckRoundTripsAndRejectsGarbage) {

@@ -42,6 +42,16 @@ Rules (each has a short slug used in the output):
                   consumer contract (`ldpjs_cli top` and external
                   scrapers parse it); an unasserted key can be renamed or
                   dropped without any test noticing.
+
+  one-protocol-version
+                  LJSP speaks exactly one version (kNetVersion); a HELLO in
+                  any other is rejected. No C++ file under src/, tools/ or
+                  tests/ may name kNetMinVersion, announce_version or
+                  negotiated_version, and none outside src/net/protocol.cc
+                  may compare a session's or connection's `version` field
+                  against a number. Those are the pieces a version-
+                  negotiation ladder is built from, and every peer that
+                  would need one lives in this repo.
 """
 
 import re
@@ -51,6 +61,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 TESTS = REPO / "tests"
+TOOLS = REPO / "tools"
 
 # -- allow-lists -------------------------------------------------------------
 
@@ -73,6 +84,11 @@ MUTEX_ALLOWED = {
     "src/common/thread_annotations.h",
 }
 
+# The protocol codec is the one place that checks the version byte.
+VERSION_COMPARE_ALLOWED = {
+    "src/net/protocol.cc",
+}
+
 # -- helpers -----------------------------------------------------------------
 
 
@@ -82,6 +98,15 @@ def src_files():
 
 def test_files():
     return sorted(TESTS.glob("*.cc"))
+
+
+def cpp_files(*roots):
+    return sorted(
+        p
+        for root in roots
+        for p in root.rglob("*")
+        if p.suffix in (".h", ".cc", ".cpp")
+    )
 
 
 def strip_comments(line):
@@ -182,6 +207,37 @@ def check_json_key_tests(violations):
             )
 
 
+def check_one_protocol_version(violations):
+    ladder = re.compile(
+        r"\b(kNetMinVersion|announce_version|negotiated_version)\b"
+    )
+    # `x.version < 4`, `4 <= x->version`, and gtest's EXPECT_EQ(x.version, 4).
+    member = r"(?:\.|->)version\b"
+    compare = re.compile(
+        member + r"\s*(?:[<>]=?|[!=]=)\s*\d"
+        r"|\b\d+[uU]?\s*(?:[<>]=?|[!=]=)\s*[A-Za-z_][\w.>-]*" + member
+        + r"|_(?:EQ|NE|LT|LE|GT|GE)\(\s*[A-Za-z_][\w.>-]*" + member
+        + r"\s*,\s*\d"
+    )
+    for path in cpp_files(SRC, TOOLS, TESTS):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            match = ladder.search(line)
+            if match:
+                violations.append(
+                    f"{rel(path)}:{lineno}: [one-protocol-version] "
+                    f"{match.group(1)} — LJSP has one version; there is "
+                    "nothing to negotiate"
+                )
+            elif rel(path) not in VERSION_COMPARE_ALLOWED and compare.search(
+                strip_comments(line)
+            ):
+                violations.append(
+                    f"{rel(path)}:{lineno}: [one-protocol-version] version "
+                    "gate — every session speaks kNetVersion; only "
+                    "src/net/protocol.cc checks the version byte"
+                )
+
+
 def main():
     violations = []
     check_mutex_wrapper(violations)
@@ -189,6 +245,7 @@ def main():
     check_no_wall_clock(violations)
     check_codec_tests(violations)
     check_json_key_tests(violations)
+    check_one_protocol_version(violations)
     if violations:
         for v in violations:
             print(v)
