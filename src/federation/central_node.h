@@ -62,25 +62,10 @@ class CentralNode {
   /// region sends one as its flush completes).
   void WaitForRegions() { server_.WaitForFinalizeRequests(finalize_after_); }
 
-  /// A finalized copy of everything merged so far, without disturbing
-  /// collection — estimates at an epoch boundary while regions keep
-  /// streaming. Each view applies the global debias to its own copy, so
-  /// views are themselves exact for the reports they contain. Re-merges
-  /// every shard per call; for repeated windowed queries prefer
-  /// WindowedFinalizedView (cached).
-  LdpJoinSketchServer FinalizedView() const { return server_.FinalizedView(); }
-
-  /// Finalized sliding-window view over the last `window_epochs` aligned
-  /// epochs — the cached incremental path. Requires windowed(). Copies the
-  /// sketch; hot read paths should hold WindowedPublishedView() instead.
-  LdpJoinSketchServer WindowedFinalizedView() const {
-    LDPJS_CHECK(window_ != nullptr);
-    return window_->Finalized();
-  }
-
   /// The latest RCU-published immutable window view — one atomic load, no
   /// copy, no lock shared with ingest. This is also what QUERY frames are
-  /// answered from on a windowed central. Requires windowed().
+  /// answered from on a windowed central. Requires windowed(). The
+  /// full-history view is server().CurrentPublishedView().
   std::shared_ptr<const PublishedView> WindowedPublishedView() const {
     LDPJS_CHECK(window_ != nullptr);
     return window_->Published();

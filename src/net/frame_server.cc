@@ -780,12 +780,6 @@ TraceContext FrameServer::TakeCutTrace() {
   return trace;
 }
 
-LdpJoinSketchServer FrameServer::FinalizedView() const {
-  LdpJoinSketchServer merged = MergeShardsLocked();
-  merged.Finalize();
-  return merged;
-}
-
 void FrameServer::PublishView() {
   const uint64_t publish_start_ns = ObsEnabled() ? NowNanos() : 0;
   LdpJoinSketchServer merged = MergeShardsLocked();
@@ -963,7 +957,7 @@ std::string FrameServer::StatsJson() const {
   extra += FleetViewToJson(CurrentFleetView());
   extra += ",\"events\":";
   extra += events_.ToJsonArray();
-  return StatsToJson(m, &MetricsRegistry::Default(), extra);
+  return StatsToJson(m, MetricsRegistry::Default(), extra);
 }
 
 void FrameServer::DisconnectClients() {

@@ -163,13 +163,6 @@ class FrameServer {
   /// context when no traced frame landed in the cut epoch.
   TraceContext TakeCutTrace();
 
-  /// A finalized copy of everything currently in the lanes, without
-  /// disturbing collection — how a central aggregator answers estimates at
-  /// an epoch boundary while regions keep streaming. Takes every shard
-  /// lock and copies k·m lanes per call; steady-state readers should hold
-  /// CurrentPublishedView() instead.
-  LdpJoinSketchServer FinalizedView() const;
-
   /// The latest RCU-published lifetime view (atomic load, no ingest
   /// locks). Published at Start (empty), at every applied EPOCH_PUSH, at
   /// every PING barrier, and at FINALIZE — so "ping, then query" reads

@@ -47,7 +47,7 @@ void AppendHistogram(std::string& out, const std::string& name,
 
 }  // namespace
 
-std::string StatsToJson(const NetMetrics& m, const MetricsRegistry* registry,
+std::string StatsToJson(const NetMetrics& m, const MetricsRegistry& registry,
                         std::string_view extra_sections) {
   std::string out;
   out.reserve(1024 + 128 * (m.connections.size() + m.shards.size() +
@@ -80,16 +80,14 @@ std::string StatsToJson(const NetMetrics& m, const MetricsRegistry* registry,
   AppendField(out, "query_frames", m.query_frames, &first);
   AppendField(out, "queries_rejected", m.queries_rejected, &first);
   AppendField(out, "views_published", m.views_published, &first);
-  if (registry != nullptr) {
-    // Derived SLO keys, always present and always finite so a scrape can
-    // assert on them before any traced batch has completed the circuit.
-    const HistogramSnapshot e2e =
-        registry->HistogramByName("ingest_to_queryable_ns");
-    AppendDoubleField(out, "ingest_to_queryable_p50_ms",
-                      static_cast<double>(e2e.Percentile(0.50)) / 1e6, &first);
-    AppendDoubleField(out, "ingest_to_queryable_p99_ms",
-                      static_cast<double>(e2e.Percentile(0.99)) / 1e6, &first);
-  }
+  // Derived SLO keys, always present and always finite so a scrape can
+  // assert on them before any traced batch has completed the circuit.
+  const HistogramSnapshot e2e =
+      registry.HistogramByName("ingest_to_queryable_ns");
+  AppendDoubleField(out, "ingest_to_queryable_p50_ms",
+                    static_cast<double>(e2e.Percentile(0.50)) / 1e6, &first);
+  AppendDoubleField(out, "ingest_to_queryable_p99_ms",
+                    static_cast<double>(e2e.Percentile(0.99)) / 1e6, &first);
   out += ",\"query_kinds\":{";
   for (size_t i = 0; i < m.query_kinds.size(); ++i) {
     if (i > 0) out += ',';
@@ -151,41 +149,39 @@ std::string StatsToJson(const NetMetrics& m, const MetricsRegistry* registry,
     out += '}';
   }
   out += ']';
-  if (registry != nullptr) {
-    const MetricsRegistry::Snapshot snap = registry->TakeSnapshot();
-    out += ",\"obs\":{\"enabled\":";
-    out += ObsEnabled() ? "true" : "false";
-    out += ",\"counters\":{";
-    bool f = true;
-    for (const auto& [name, value] : snap.counters) {
-      AppendField(out, name.c_str(), value, &f);
-    }
-    out += "},\"gauges\":{";
-    f = true;
-    for (const auto& [name, value] : snap.gauges) {
-      AppendField(out, name.c_str(), value, &f);
-    }
-    out += "},\"histograms\":{";
-    f = true;
-    for (const auto& [name, hist] : snap.histograms) {
-      AppendHistogram(out, name, hist, &f);
-    }
-    out += "}";
-    // Staleness of the freshest published view (0.0 until the first
-    // publication) — the gauge stores the wall time of the last publish.
-    uint64_t last_publish = 0;
-    for (const auto& [name, value] : snap.gauges) {
-      if (name == "view_last_publish_unix_ns") last_publish = value;
-    }
-    const uint64_t now = NowNanos();
-    const double staleness_ms =
-        (last_publish == 0 || now < last_publish)
-            ? 0.0
-            : static_cast<double>(now - last_publish) / 1e6;
-    bool f2 = false;
-    AppendDoubleField(out, "view_staleness_ms", staleness_ms, &f2);
-    out += '}';
+  const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  out += ",\"obs\":{\"enabled\":";
+  out += ObsEnabled() ? "true" : "false";
+  out += ",\"counters\":{";
+  bool f = true;
+  for (const auto& [name, value] : snap.counters) {
+    AppendField(out, name.c_str(), value, &f);
   }
+  out += "},\"gauges\":{";
+  f = true;
+  for (const auto& [name, value] : snap.gauges) {
+    AppendField(out, name.c_str(), value, &f);
+  }
+  out += "},\"histograms\":{";
+  f = true;
+  for (const auto& [name, hist] : snap.histograms) {
+    AppendHistogram(out, name, hist, &f);
+  }
+  out += "}";
+  // Staleness of the freshest published view (0.0 until the first
+  // publication) — the gauge stores the wall time of the last publish.
+  uint64_t last_publish = 0;
+  for (const auto& [name, value] : snap.gauges) {
+    if (name == "view_last_publish_unix_ns") last_publish = value;
+  }
+  const uint64_t now = NowNanos();
+  const double staleness_ms =
+      (last_publish == 0 || now < last_publish)
+          ? 0.0
+          : static_cast<double>(now - last_publish) / 1e6;
+  f = false;
+  AppendDoubleField(out, "view_staleness_ms", staleness_ms, &f);
+  out += '}';
   if (!extra_sections.empty()) {
     out += ',';
     out += extra_sections;

@@ -112,8 +112,9 @@ TEST(FederationTest, MidEpochDisconnectRetriesToExactlyOnce) {
   EXPECT_EQ(region.epochs_shipped(), 1u);
 
   // The central can answer estimates at the epoch boundary without
-  // stopping collection.
-  EXPECT_EQ(central.FinalizedView().total_reports(), partitions[0].size());
+  // stopping collection: EPOCH_PUSH_OK follows the view's republication.
+  EXPECT_EQ(central.server().CurrentPublishedView()->sketch.total_reports(),
+            partitions[0].size());
 
   // Chaos: the central kicks every client, killing the region's upstream
   // session mid-collection.

@@ -22,6 +22,7 @@
 #include "federation/regional_node.h"
 #include "federation/windowed_view.h"
 #include "net/frame_sender.h"
+#include "service/published_view.h"
 
 namespace ldpjs {
 namespace {
@@ -202,7 +203,7 @@ TEST(FederationWindowedTest, IncrementalViewEqualsRecomputeThroughout) {
     EXPECT_EQ(view.RawWindow().Serialize(), direct.Serialize()) << at;
     LdpJoinSketchServer finalized_direct = std::move(direct);
     finalized_direct.Finalize();
-    EXPECT_EQ(central.WindowedFinalizedView().Serialize(),
+    EXPECT_EQ(central.WindowedPublishedView()->sketch.Serialize(),
               finalized_direct.Serialize())
         << at;
   };
@@ -328,10 +329,10 @@ TEST(FederationWindowedTest, RestartCollisionRenumbersInsteadOfLosingData) {
   EXPECT_EQ(merged.Serialize(), direct.Serialize());
 }
 
-// The cached finalized view: clean queries return the cached result (equal
+// The published view: clean reads return the same snapshot object (equal
 // bit for bit to a fresh finalize of the raw window), and a new epoch
-// invalidates it.
-TEST(FederationWindowedTest, FinalizedViewCachesUntilDirty) {
+// publishes a new one holding both epochs' reports.
+TEST(FederationWindowedTest, PublishedViewIsStableUntilDirty) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;
   LdpJoinSketchClient client(params, epsilon);
@@ -343,23 +344,23 @@ TEST(FederationWindowedTest, FinalizedViewCachesUntilDirty) {
   LdpJoinSketchServer epoch0_consumed = epoch0;
   view.OnEpochApplied(0, 0, &epoch0_consumed);
 
-  const LdpJoinSketchServer first_read = view.Finalized();
-  const LdpJoinSketchServer second_read = view.Finalized();  // cached
-  EXPECT_EQ(first_read.Serialize(), second_read.Serialize());
+  const std::shared_ptr<const PublishedView> first_read = view.Published();
+  EXPECT_EQ(view.Published().get(), first_read.get());  // clean: same view
   LdpJoinSketchServer fresh = view.RawWindow();
   fresh.Finalize();
-  EXPECT_EQ(first_read.Serialize(), fresh.Serialize());
+  EXPECT_EQ(first_read->sketch.Serialize(), fresh.Serialize());
 
   LdpJoinSketchServer epoch1(params, epsilon);
   epoch1.AbsorbBatch(PerturbColumn(client, 4000, 81));
   LdpJoinSketchServer epoch1_consumed = epoch1;
   view.OnEpochApplied(0, 1, &epoch1_consumed);
-  const LdpJoinSketchServer third_read = view.Finalized();  // recomputed
-  EXPECT_EQ(third_read.total_reports(),
+  const std::shared_ptr<const PublishedView> third_read = view.Published();
+  EXPECT_NE(third_read.get(), first_read.get());  // republished
+  EXPECT_EQ(third_read->sketch.total_reports(),
             epoch0.total_reports() + epoch1.total_reports());
   LdpJoinSketchServer both = view.RawWindow();
   both.Finalize();
-  EXPECT_EQ(third_read.Serialize(), both.Serialize());
+  EXPECT_EQ(third_read->sketch.Serialize(), both.Serialize());
 }
 
 // A region first heard from AFTER the frontier aligned (more real regions

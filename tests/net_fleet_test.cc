@@ -1,4 +1,4 @@
-// LJSP v5 fleet observability: the STATS_PUSH / FLEET_STATS frames and the
+// LJSP fleet observability: the STATS_PUSH / FLEET_STATS frames and the
 // central's fleet store. Pins:
 //   1. Codec round-trips with hostile-input rejection (trailing bytes).
 //   2. Over a live session, pushed region snapshots land in the fleet view
@@ -7,9 +7,7 @@
 //      an average of percentiles.
 //   3. Health transitions (OK → DEGRADED on an i2q SLO burn) land in the
 //      event log with the breached rule as the cause, and in the stats
-//      JSON's new trailing sections.
-//   4. Version interop: a v4 session refuses v5 frames locally without
-//      touching the wire, and the v4 surface is untouched.
+//      JSON's trailing sections.
 #include <cstdint>
 #include <string>
 #include <vector>

@@ -396,8 +396,9 @@ TEST(NetLoopbackTest, PingIsAnIngestBarrier) {
   ASSERT_TRUE(sender->Ping().ok());
   // Everything is in the lanes NOW — no Stop(), no BYE.
   EXPECT_EQ(server.metrics().reports_ingested, reports.size());
-  const LdpJoinSketchServer view = server.FinalizedView();
-  EXPECT_EQ(view.total_reports(), reports.size());
+  // PING republishes before acking, so the published view holds them too.
+  EXPECT_EQ(server.CurrentPublishedView()->sketch.total_reports(),
+            reports.size());
   ASSERT_TRUE(sender->Finish().ok());
   server.Stop();
 }

@@ -1,6 +1,6 @@
 // Query serving tier end-to-end. The acceptance bar has three parts:
 //
-//  1. Bit identity: every QUERY kind served over a real loopback LJSP v3
+//  1. Bit identity: every QUERY kind served over a real loopback LJSP
 //     session must equal AnswerQuery evaluated in-process on the very view
 //     the server answered from — bit for bit, doubles included — for shard
 //     counts {1, 4}, both join methods' report streams (plain LdpJoinSketch
@@ -10,9 +10,9 @@
 //     OnEpochApplied / ingest / republish must always observe internally
 //     consistent snapshots — every answer corresponds to exactly one
 //     published epoch (these tests run under the CI TSan job).
-//  3. Hostile traffic: v2 peers sending QUERY, garbage payloads, oversized
-//     frames, and unbounded scans all degrade to clean ERRORs — never a
-//     crash, and never a stalled finalize barrier (CI ASan/UBSan job).
+//  3. Hostile traffic: garbage payloads, oversized frames, and unbounded
+//     scans all degrade to clean ERRORs — never a crash, and never a
+//     stalled finalize barrier (CI ASan/UBSan job).
 #include <algorithm>
 #include <atomic>
 #include <chrono>

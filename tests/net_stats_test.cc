@@ -1,13 +1,11 @@
-// The stats surface: one serializer behind NetMetricsToJson, the SIGUSR1
-// dump, the JSONL exporter, and the LJSP v4 STATS frame. The acceptance
-// bar has three parts:
-//   1. Schema compatibility — every NetMetrics JSON key that existed
-//      before the observability layer still appears, by exact name, so
-//      dashboards scraping the SIGUSR1 dump survive the upgrade.
-//   2. The STATS frame round-trips the same JSON over a live session,
-//      including the derived ingest-to-queryable SLO keys and the obs
-//      registry section — and is refused on a pre-v4 session without
-//      touching the wire.
+// The stats surface: one serializer (StatsToJson) behind the SIGUSR1 dump,
+// the JSONL exporter, and the STATS frame. The acceptance bar has three
+// parts:
+//   1. Schema compatibility — every frozen NetMetrics JSON key appears by
+//      exact name next to the obs registry section and the derived
+//      ingest-to-queryable SLO keys, so dashboards scraping the SIGUSR1
+//      dump keep working.
+//   2. The STATS frame round-trips the same JSON over a live session.
 //   3. Per-kind query rejections surface as their own rows.
 #include <cstdint>
 #include <string>
@@ -34,10 +32,10 @@ SketchParams TestParams(int k = 6, int m = 256, uint64_t seed = 21) {
   return params;
 }
 
-/// Every top-level key the pre-observability NetMetricsToJson emitted.
-/// Renaming or dropping any of these breaks deployed scrapers — the list
-/// is frozen; additions are fine.
-const char* const kLegacyKeys[] = {
+/// Every top-level NetMetrics key of the stats JSON. Renaming or dropping
+/// any of these breaks deployed scrapers — the list is frozen; additions
+/// are fine.
+const char* const kFrozenKeys[] = {
     "connections_accepted", "connections_active", "handshakes_rejected",
     "frames_received", "bytes_received", "reports_ingested",
     "corrupt_frames_rejected", "frames_shed", "queue_high_water",
@@ -54,18 +52,13 @@ void ExpectHasKey(const std::string& json, const std::string& key) {
       << "missing key " << key << " in " << json;
 }
 
-TEST(NetStatsTest, LegacyJsonKeysUnchanged) {
-  const std::string json = NetMetricsToJson(NetMetrics{});
-  for (const char* key : kLegacyKeys) ExpectHasKey(json, key);
-}
-
 TEST(NetStatsTest, RegistrySerializationAddsObsSection) {
   MetricsRegistry registry;
   registry.GetCounter("widgets")->Add(3);
   registry.GetGauge("view_last_publish_unix_ns")->Set(NowNanos());
   registry.GetHistogram("ingest_to_queryable_ns")->Record(2000000);
-  const std::string json = StatsToJson(NetMetrics{}, &registry);
-  for (const char* key : kLegacyKeys) ExpectHasKey(json, key);
+  const std::string json = StatsToJson(NetMetrics{}, registry);
+  for (const char* key : kFrozenKeys) ExpectHasKey(json, key);
   ExpectHasKey(json, "ingest_to_queryable_p50_ms");
   ExpectHasKey(json, "ingest_to_queryable_p99_ms");
   ExpectHasKey(json, "query_rejected_kinds");
@@ -80,7 +73,7 @@ TEST(NetStatsTest, RegistrySerializationAddsObsSection) {
       << json;
   // An EMPTY registry still emits the SLO keys, as finite numbers.
   MetricsRegistry empty;
-  const std::string bare = StatsToJson(NetMetrics{}, &empty);
+  const std::string bare = StatsToJson(NetMetrics{}, empty);
   EXPECT_NE(bare.find("\"ingest_to_queryable_p99_ms\":0"),
             std::string::npos)
       << bare;
@@ -110,7 +103,7 @@ TEST(NetStatsTest, StatsFrameRoundTripsOverLiveSession) {
 
   auto json = sender->Stats();
   ASSERT_TRUE(json.ok()) << json.status().ToString();
-  for (const char* key : kLegacyKeys) ExpectHasKey(*json, key);
+  for (const char* key : kFrozenKeys) ExpectHasKey(*json, key);
   ExpectHasKey(*json, "ingest_to_queryable_p50_ms");
   ExpectHasKey(*json, "ingest_to_queryable_p99_ms");
   ExpectHasKey(*json, "obs");
@@ -158,7 +151,7 @@ TEST(NetStatsTest, PerKindRejectionsGetOwnRows) {
     }
   }
   EXPECT_TRUE(found) << "no frequent_items row in query_rejected_kinds";
-  const std::string json = NetMetricsToJson(m);
+  const std::string json = server.StatsJson();
   EXPECT_NE(json.find("\"query_rejected_kinds\":{\"frequent_items\":1}"),
             std::string::npos)
       << json;

@@ -1,11 +1,10 @@
 // Trace propagation end-to-end. The acceptance bar: a traced batch sent
-// over a real loopback LJSP v4 session leaves exactly one span per tier it
+// over a real loopback LJSP session leaves exactly one span per tier it
 // crossed — client_send → server_queue → shard_absorb → view_publish on the
 // serve tier, plus epoch_cut → regional_ship → central_merge on the
 // federated path — with timestamps that never run backwards, and its
 // origin-to-publish latency lands in the registry's ingest_to_queryable_ns
-// histogram. Untraced peers (v3 sessions) must keep working with traced
-// senders, frames unchanged.
+// histogram. A sender sampling every Nth batch traces those batches.
 #include <algorithm>
 #include <cstdint>
 #include <string>

@@ -14,7 +14,6 @@
 #include "data/datasets.h"
 #include "data/join.h"
 #include "ldp/frequency_oracle.h"
-#include "sketch/agms.h"
 #include "sketch/fast_agms.h"
 
 namespace ldpjs {
@@ -133,22 +132,14 @@ TEST(DeterminismTest, FullPlusPipelineIdenticalAcrossRepeats) {
   EXPECT_EQ(r1.frequent_item_count, r2.frequent_item_count);
 }
 
-TEST(AgmsFamilyTest, AgmsAndFastAgmsAgreeOnTheSameData) {
-  // Both are unbiased estimators of the same quantity; on a moderately
-  // skewed workload their estimates should agree within their error bars.
+TEST(FastAgmsPropertyTest, JoinEstimateTracksExactJoin) {
+  // Fast-AGMS is the paper's non-private baseline: on a moderately skewed
+  // workload its estimate stays within its error bar of the exact join.
   const JoinWorkload w = MakeZipfWorkload(1.6, 400, 20000, 9);
   const double truth = ExactJoinSize(w.table_a, w.table_b);
-  AgmsSketch aa(3, 5, 64), ab(3, 5, 64);
   FastAgmsSketch fa(3, 5, 512), fb(3, 5, 512);
-  for (uint64_t v : w.table_a.values()) {
-    aa.Update(v);
-  }
-  for (uint64_t v : w.table_b.values()) {
-    ab.Update(v);
-  }
   fa.UpdateColumn(w.table_a);
   fb.UpdateColumn(w.table_b);
-  EXPECT_NEAR(aa.JoinEstimate(ab) / truth, 1.0, 0.3);
   EXPECT_NEAR(fa.JoinEstimate(fb) / truth, 1.0, 0.15);
 }
 

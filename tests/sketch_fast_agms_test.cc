@@ -7,7 +7,6 @@
 #include "common/stats.h"
 #include "data/datasets.h"
 #include "data/join.h"
-#include "sketch/agms.h"
 
 namespace ldpjs {
 namespace {
@@ -116,34 +115,6 @@ TEST(FastAgmsDeathTest, MergeRequiresMatchingShape) {
 TEST(FastAgmsTest, ByteSizeIsCellCount) {
   FastAgmsSketch s(1, 3, 64);
   EXPECT_EQ(s.ByteSize(), 3u * 64u * sizeof(double));
-}
-
-TEST(AgmsTest, SingleCounterSignSum) {
-  AgmsSketch s(1, 2, 8);
-  s.Update(3, 2.0);
-  // Every counter is ±2 after one weighted update.
-  for (int g = 0; g < 2; ++g) {
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(std::abs(s.counter(g, i)), 2.0);
-    }
-  }
-}
-
-TEST(AgmsTest, JoinEstimateTracksTruth) {
-  const JoinWorkload w = MakeZipfWorkload(1.5, 500, 5000, 31);
-  const double truth = ExactJoinSize(w.table_a, w.table_b);
-  AgmsSketch sa(3, 7, 128), sb(3, 7, 128);
-  for (uint64_t v : w.table_a.values()) sa.Update(v);
-  for (uint64_t v : w.table_b.values()) sb.Update(v);
-  EXPECT_NEAR(sa.JoinEstimate(sb) / truth, 1.0, 0.25);
-}
-
-TEST(AgmsTest, SecondMomentTracksF2) {
-  const JoinWorkload w = MakeZipfWorkload(1.5, 500, 5000, 37);
-  const double f2 = FrequencyMomentF2(w.table_a);
-  AgmsSketch s(4, 7, 128);
-  for (uint64_t v : w.table_a.values()) s.Update(v);
-  EXPECT_NEAR(s.SecondMomentEstimate() / f2, 1.0, 0.25);
 }
 
 // Property sweep: frequency estimates of planted heavy items stay within a

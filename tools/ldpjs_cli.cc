@@ -282,7 +282,7 @@ class MetricsWatcher {
   /// the SIGUSR1 dump, the STATS scrape, and the JSONL export can never
   /// drift apart in shape.
   std::string Snapshot() const {
-    return StatsToJson(source_(), &MetricsRegistry::Default());
+    return StatsToJson(source_(), MetricsRegistry::Default());
   }
 
   void Dump() {
@@ -487,7 +487,7 @@ int RunFederateCentral(int argc, char** argv) {
     if (central.windowed()) {
       // The windowed deployment's answer: the last --window aligned
       // epochs, from the incrementally cached view.
-      sketch = central.WindowedFinalizedView();
+      sketch = central.WindowedPublishedView()->sketch;
       const WindowedView& window = *central.window();
       std::printf(
           "windowed view: W=%llu frontier=%s epochs_in_window=%llu "
@@ -1034,8 +1034,17 @@ int RunQuery(int argc, char** argv) {
 // last STATS_PUSH snapshot plus the exactly-merged cluster histograms and
 // the health roll-up. --watch N re-scrapes every N seconds, reconnecting
 // with jittered backoff across transient connection loss — a monitor that
-// dies with the first server blip is not a monitor.
+// dies with the first server blip is not a monitor. A handshake the server
+// refuses exits 1 at once: retrying cannot fix it.
 // ---------------------------------------------------------------------------
+
+/// True when the server refused the handshake for good: mismatched sketch
+/// parameters (FailedPrecondition) or a wrong LJSP version (Corruption).
+bool HandshakeRefused(const Status& status) {
+  return status.code() == StatusCode::kFailedPrecondition ||
+         status.code() == StatusCode::kCorruption;
+}
+
 int RunStats(int argc, char** argv) {
   tools::Flags flags;
   DefineWorkloadFlags(flags);
@@ -1068,7 +1077,7 @@ int RunStats(int argc, char** argv) {
     if (!sender.has_value()) {
       auto connected = FrameSender::Connect(host, port, params, epsilon);
       if (!connected.ok()) {
-        if (watch <= 0) {
+        if (watch <= 0 || HandshakeRefused(connected.status())) {
           std::fprintf(stderr, "connect failed: %s\n",
                        connected.status().ToString().c_str());
           return 1;
@@ -1130,7 +1139,7 @@ int RunStats(int argc, char** argv) {
 // region (health state, frontier epoch, pending depth, i2q/ship-RTT
 // percentiles from the pushed raw buckets, snapshot age) plus the cluster
 // roll-up from the exactly-merged histograms. Scrapes FLEET_STATS every
-// --interval seconds on a reconnecting session.
+// --interval seconds on a reconnecting session; a refused handshake exits 1.
 // ---------------------------------------------------------------------------
 
 /// ns → short human string for a dashboard cell ("-" for an empty series).
@@ -1229,6 +1238,11 @@ int RunTop(int argc, char** argv) {
     if (!sender.has_value()) {
       auto connected = FrameSender::Connect(host, port, params, epsilon);
       if (!connected.ok()) {
+        if (HandshakeRefused(connected.status())) {
+          std::fprintf(stderr, "connect failed: %s\n",
+                       connected.status().ToString().c_str());
+          return 1;
+        }
         std::fprintf(stderr, "connect failed (%s); retrying\n",
                      connected.status().ToString().c_str());
         backoff.SleepNext();

@@ -52,6 +52,12 @@ Rules (each has a short slug used in the output):
                   against a number. Those are the pieces a version-
                   negotiation ladder is built from, and every peer that
                   would need one lives in this repo.
+
+  orphan-module   Every header under src/ must be #included by some file
+                  other than its own .cc and outside tests/: from src/,
+                  tools/, bench/, examples/ or perfbench/src/. A module
+                  that only its own tests reach is dead code; delete it or
+                  wire it into the library.
 """
 
 import re
@@ -62,6 +68,10 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 TESTS = REPO / "tests"
 TOOLS = REPO / "tools"
+# Where a header's users may live for it to count as used (orphan-module).
+INCLUDERS = (
+    SRC, TOOLS, REPO / "bench", REPO / "examples", REPO / "perfbench" / "src"
+)
 
 # -- allow-lists -------------------------------------------------------------
 
@@ -238,6 +248,29 @@ def check_one_protocol_version(violations):
                 )
 
 
+def check_orphan_modules(violations):
+    include = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+    used = set()
+    for path in cpp_files(*INCLUDERS):
+        for line in path.read_text().splitlines():
+            match = include.match(line)
+            if not match:
+                continue
+            header = match.group(1)
+            # A module's own .cc including its header does not use it.
+            if rel(path) == "src/" + header.removesuffix(".h") + ".cc":
+                continue
+            used.add(header)
+    for path in src_files():
+        header = path.relative_to(SRC).as_posix()
+        if path.suffix == ".h" and header not in used:
+            violations.append(
+                f"{rel(path)}:1: [orphan-module] nothing outside tests/ "
+                f"and its own .cc includes {header} — delete the module "
+                "or wire it into the library"
+            )
+
+
 def main():
     violations = []
     check_mutex_wrapper(violations)
@@ -246,6 +279,7 @@ def main():
     check_codec_tests(violations)
     check_json_key_tests(violations)
     check_one_protocol_version(violations)
+    check_orphan_modules(violations)
     if violations:
         for v in violations:
             print(v)
