@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -286,6 +287,62 @@ std::pair<double, double> MeasurePairedReportsPerSec(size_t reports_per_pass,
   } while (seconds_a + seconds_b < 0.6 || pairs < 3);
   return {static_cast<double>(reports_per_pass) * pairs / seconds_a,
           static_cast<double>(reports_per_pass) * pairs / seconds_b};
+}
+
+/// One window of MeasurePairedTrials: the wall time of every pass, index-
+/// aligned so that a_seconds[j] and b_seconds[j] ran back to back.
+struct PairedWindow {
+  std::vector<double> a_seconds;
+  std::vector<double> b_seconds;
+};
+
+/// Trials behind every gated or ratio key that must hold above its noise
+/// floor: a median over this many windows, not one pooled window.
+inline constexpr int kPairedTrials = 15;
+
+/// kPairedTrials interleaved paired windows. Each window alternates A and
+/// B pass by pass and ends after at least `min_pairs` pairs and
+/// `min_seconds`; the side that leads alternates from window to window, so
+/// neither side systematically runs first. Callers reduce each window to
+/// one figure and summarize the figures with MedianAndIqr.
+template <typename PassA, typename PassB>
+std::vector<PairedWindow> MeasurePairedTrials(size_t min_pairs,
+                                              double min_seconds,
+                                              const PassA& pass_a,
+                                              const PassB& pass_b) {
+  pass_a();  // warm both paths before timing
+  pass_b();
+  auto timed = [](const auto& pass, std::vector<double>& seconds) {
+    const auto start = Clock::now();
+    pass();
+    seconds.push_back(SecondsSince(start));
+  };
+  std::vector<PairedWindow> windows(kPairedTrials);
+  for (int trial = 0; trial < kPairedTrials; ++trial) {
+    PairedWindow& window = windows[trial];
+    const bool a_leads = trial % 2 == 0;
+    const auto start = Clock::now();
+    do {
+      if (a_leads) timed(pass_a, window.a_seconds);
+      timed(pass_b, window.b_seconds);
+      if (!a_leads) timed(pass_a, window.a_seconds);
+    } while (window.a_seconds.size() < min_pairs ||
+             SecondsSince(start) < min_seconds);
+  }
+  return windows;
+}
+
+double Sum(std::span<const double> values) {
+  return std::accumulate(values.begin(), values.end(), 0.0);
+}
+
+struct MedianIqr {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+MedianIqr MedianAndIqr(std::span<const double> values) {
+  return {Median(values), Quantile(values, 0.75) - Quantile(values, 0.25)};
 }
 
 void RunIngestionComparison() {
@@ -563,13 +620,23 @@ void RunIngestionComparison() {
     if (central.metrics().epochs_applied != epoch) std::abort();
   }
 
-  // --- Fleet stats shipping overhead: the snapshot-ship loop with a
-  // STATS_PUSH interleaved every 128 epochs on the session, paired against
-  // a plain loop so both see identical machine conditions. Telemetry must
-  // never tax the data path — the bench aborts past 1% throughput cost.
+  // --- Fleet stats shipping overhead: one session ships epoch snapshots
+  // to a central, and every 128th ship of the stats side is preceded by a
+  // STATS_PUSH on the same session — the way a region interleaves them.
+  // Both sides ship on the same session, so no central or reader thread
+  // can favour one of them. A trial is exactly 512 pairs, so the stats
+  // side pays exactly 4 pushes in each. Its extra time is the whole excess
+  // of the 4 pairs that carried a push (the push, whose central-side cost
+  // is inside its ack, and any effect on the ship after it) plus, for the
+  // other pairs, the median paired difference (a median shrugs off the
+  // scheduler spikes that swamp a sum of sub-ms ships on a shared host);
+  // the overhead is that over the trial's plain ship time. Telemetry must
+  // never tax the data path — the bench aborts when the median signed
+  // overhead over the trials passes 1% of throughput.
   // Also times the central-side exact histogram merge of two full registry
   // snapshots (the per-region cost of rendering the cluster view). --------
   double stats_push_overhead_pct = 0.0;
+  double stats_push_overhead_iqr_pct = 0.0;
   double fleet_merge_ns = 0.0;
   {
     LdpJoinSketchServer epoch_sketch(params, epsilon);
@@ -579,49 +646,66 @@ void RunIngestionComparison() {
     const std::vector<uint8_t> snapshot = epoch_sketch.Serialize();
     FrameServerOptions options;
     options.num_shards = service_shards;
-    FrameServer central_with(params, epsilon, options);
-    FrameServer central_plain(params, epsilon, options);
-    if (!central_with.Start().ok() || !central_plain.Start().ok()) {
-      std::abort();
-    }
-    auto with_sender = FrameSender::Connect(
-        "127.0.0.1", central_with.port(), params, epsilon);
-    auto plain_sender = FrameSender::Connect(
-        "127.0.0.1", central_plain.port(), params, epsilon);
-    if (!with_sender.ok() || !plain_sender.ok()) std::abort();
-    uint64_t epoch_with = 0, epoch_plain = 0;
-    auto push_one = [&](FrameSender& sender, uint64_t* epoch) {
-      auto applied = sender.PushEpochSnapshot(0, (*epoch)++, snapshot);
+    FrameServer central(params, epsilon, options);
+    if (!central.Start().ok()) std::abort();
+    auto sender =
+        FrameSender::Connect("127.0.0.1", central.port(), params, epsilon);
+    if (!sender.ok()) std::abort();
+    uint64_t epoch = 0, stats_ships = 0;
+    constexpr uint64_t kShipsPerStatsPush = 128;
+    constexpr size_t kPairsPerTrial = 4 * kShipsPerStatsPush;
+    auto ship = [&] {
+      auto applied = sender->PushEpochSnapshot(0, epoch++, snapshot);
       if (!applied.ok() || applied->code != EpochPushAckCode::kApplied) {
         std::abort();
       }
     };
-    const auto [with_bps, plain_bps] = MeasurePairedReportsPerSec(
-        snapshot.size(),
+    const std::vector<PairedWindow> windows = MeasurePairedTrials(
+        kPairsPerTrial, /*min_seconds=*/0.0,
         [&] {
-          push_one(*with_sender, &epoch_with);
-          if (epoch_with % 128 == 0) {
+          if (++stats_ships % kShipsPerStatsPush == 0) {
             FleetSnapshot stats;
             stats.region_id = 0;
             stats.captured_unix_ns = NowNanos();
             stats.stats = MetricsRegistry::Default().TakeSnapshot();
-            if (!with_sender->PushStats(stats).ok()) std::abort();
+            if (!sender->PushStats(stats).ok()) std::abort();
           }
+          ship();
         },
-        [&] { push_one(*plain_sender, &epoch_plain); });
-    stats_push_overhead_pct =
-        std::max(0.0, (plain_bps - with_bps) / plain_bps * 100.0);
-    if (!with_sender->Finish().ok() || !plain_sender->Finish().ok()) {
-      std::abort();
+        ship);
+    std::vector<double> overhead_pct;
+    for (int t = 0; t < kPairedTrials; ++t) {
+      const PairedWindow& window = windows[t];
+      // The warm-up pass is stats-side ship 1, so trial t's pushes ride
+      // its pairs j with j + 2 ≡ 0 (mod 128).
+      double push_pairs_excess = 0.0;
+      std::vector<double> diff;
+      for (size_t j = 0; j < kPairsPerTrial; ++j) {
+        const double d = window.a_seconds[j] - window.b_seconds[j];
+        if ((j + 2) % kShipsPerStatsPush == 0) {
+          push_pairs_excess += d;
+        } else {
+          diff.push_back(d);
+        }
+      }
+      const double extra = push_pairs_excess + Median(diff) * diff.size();
+      // Signed: noise reads both ways.
+      overhead_pct.push_back(
+          extra / (Median(window.b_seconds) * kPairsPerTrial) * 100.0);
     }
-    central_with.Stop();
-    central_plain.Stop();
-    if (central_with.CurrentFleetView().regions.size() != 1) std::abort();
+    const MedianIqr overhead = MedianAndIqr(overhead_pct);
+    stats_push_overhead_pct = overhead.median;
+    stats_push_overhead_iqr_pct = overhead.iqr;
+    if (!sender->Finish().ok()) std::abort();
+    central.Stop();
+    if (central.CurrentFleetView().regions.size() != 1) std::abort();
+    if (stats_ships != 1 + kPairedTrials * kPairsPerTrial) std::abort();
     if (stats_push_overhead_pct > 1.0) {
       std::fprintf(stderr,
-                   "STATS_PUSH costs %.2f%% of ship throughput "
-                   "(budget: 1%%)\n",
-                   stats_push_overhead_pct);
+                   "STATS_PUSH costs %.2f%% of ship throughput (median of "
+                   "%d trials, IQR %.2f%%; budget: 1%%)\n",
+                   stats_push_overhead_pct, kPairedTrials,
+                   stats_push_overhead_iqr_pct);
       std::abort();
     }
 
@@ -650,6 +734,7 @@ void RunIngestionComparison() {
   // Hadamard transforms of a fresh finalize (PublishView) every query. ----
   double windowed_estimate_qps = 0.0;
   double view_cache_speedup = 0.0;
+  double view_cache_speedup_iqr = 0.0;
   {
     const size_t epoch_reports = std::min<size_t>(n, 100'000);
     LdpJoinSketchServer epoch_sketch(params, epsilon);
@@ -675,8 +760,8 @@ void RunIngestionComparison() {
       auto applied = sender->PushEpochSnapshot(0, epoch, snapshot);
       if (!applied.ok()) std::abort();
     }
-    const auto [cached_qps, remerge_qps] = MeasurePairedReportsPerSec(
-        1,
+    const std::vector<PairedWindow> windows = MeasurePairedTrials(
+        /*min_pairs=*/3, /*min_seconds=*/0.1,
         [&] {
           const LdpJoinSketchServer view =
               central.WindowedPublishedView()->sketch;
@@ -687,8 +772,16 @@ void RunIngestionComparison() {
           const auto view = central.server().CurrentPublishedView();
           benchmark::DoNotOptimize(view->sketch.JoinEstimate(estimate_against));
         });
-    windowed_estimate_qps = cached_qps;
-    view_cache_speedup = cached_qps / remerge_qps;
+    std::vector<double> cached_qps, speedups;
+    for (const PairedWindow& window : windows) {
+      const double cached_seconds = Sum(window.a_seconds);
+      cached_qps.push_back(window.a_seconds.size() / cached_seconds);
+      speedups.push_back(Sum(window.b_seconds) / cached_seconds);
+    }
+    const MedianIqr speedup = MedianAndIqr(speedups);
+    windowed_estimate_qps = Median(cached_qps);
+    view_cache_speedup = speedup.median;
+    view_cache_speedup_iqr = speedup.iqr;
     // Sanity: the window really slid — 4 of 6 epochs in the view.
     if (central.window()->epochs_expired() != 2) std::abort();
     if (central.WindowedPublishedView()->sketch.total_reports() !=
@@ -993,13 +1086,16 @@ void RunIngestionComparison() {
   std::printf("net ingest %zu pumps  : %.3e reports/sec (%.2fx)\n",
               service_shards, net_rps, net_rps / net_single_pump_rps);
   std::printf("snapshot shipping   : %.3e bytes/sec\n", snapshot_ship_bps);
-  std::printf("stats push overhead : %.3f%% of ship throughput (budget 1%%)\n",
-              stats_push_overhead_pct);
+  std::printf("stats push overhead : %.3f%% of ship throughput, IQR %.3f%% "
+              "(median of %d trials, budget 1%%)\n",
+              stats_push_overhead_pct, stats_push_overhead_iqr_pct,
+              kPairedTrials);
   std::printf("fleet merge         : %.0f ns per region snapshot\n",
               fleet_merge_ns);
   std::printf("windowed estimates  : %.3e queries/sec (cached %.2fx the "
-              "re-merge view)\n",
-              windowed_estimate_qps, view_cache_speedup);
+              "re-merge view, IQR %.2fx)\n",
+              windowed_estimate_qps, view_cache_speedup,
+              view_cache_speedup_iqr);
   std::printf("published view reads: %.3e /sec (%.1fx the copying "
               "wrapper)\n",
               published_reads_per_sec, published_vs_copy_speedup);
@@ -1059,9 +1155,11 @@ void RunIngestionComparison() {
           {"net_ingest_multipump_speedup", net_rps / net_single_pump_rps},
           {"federation_snapshot_ship_bytes_per_sec", snapshot_ship_bps},
           {"stats_push_overhead_pct", stats_push_overhead_pct},
+          {"stats_push_overhead_iqr_pct", stats_push_overhead_iqr_pct},
           {"fleet_merge_ns", fleet_merge_ns},
           {"central_windowed_estimate_per_sec", windowed_estimate_qps},
           {"central_view_cache_speedup", view_cache_speedup},
+          {"central_view_cache_speedup_iqr", view_cache_speedup_iqr},
           {"rcu_published_reads_per_sec", published_reads_per_sec},
           {"rcu_published_vs_copy_speedup", published_vs_copy_speedup},
           {"query_qps_1thread", query_qps_1thread},

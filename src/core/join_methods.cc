@@ -129,17 +129,12 @@ JoinMethodResult RunLdpJoinSketch(const Column& a, const Column& b,
   JoinMethodResult result;
   SimulationOptions sim;
   sim.num_threads = config.num_threads;
-  sim.num_shards = config.num_shards;
-  sim.net_loopback = config.net_loopback;
-  sim.num_regions = config.num_regions;
-  sim.epoch_reports = config.epoch_reports;
-  sim.window_epochs = config.window_epochs;
 
   const auto offline_start = Clock::now();
-  sim.run_seed = Mix64(config.run_seed ^ 0xA3ULL);
+  sim.run_seed = LdpJoinSketchTableSeed(config.run_seed, /*table_b=*/false);
   const LdpJoinSketchServer sketch_a =
       BuildLdpJoinSketch(a, config.sketch, config.epsilon, sim);
-  sim.run_seed = Mix64(config.run_seed ^ 0xB3ULL);
+  sim.run_seed = LdpJoinSketchTableSeed(config.run_seed, /*table_b=*/true);
   const LdpJoinSketchServer sketch_b =
       BuildLdpJoinSketch(b, config.sketch, config.epsilon, sim);
   result.offline_seconds = SecondsSince(offline_start);
@@ -163,11 +158,6 @@ JoinMethodResult RunLdpJoinSketchPlus(const Column& a, const Column& b,
   params.join_est = config.plus_join_est;
   params.simulation.run_seed = config.run_seed;
   params.simulation.num_threads = config.num_threads;
-  params.simulation.num_shards = config.num_shards;
-  params.simulation.net_loopback = config.net_loopback;
-  params.simulation.num_regions = config.num_regions;
-  params.simulation.epoch_reports = config.epoch_reports;
-  params.simulation.window_epochs = config.window_epochs;
 
   const LdpJoinSketchPlusResult plus = EstimateJoinSizePlus(a, b, params);
   JoinMethodResult result;
@@ -183,6 +173,10 @@ JoinMethodResult RunLdpJoinSketchPlus(const Column& a, const Column& b,
 }
 
 }  // namespace
+
+uint64_t LdpJoinSketchTableSeed(uint64_t run_seed, bool table_b) {
+  return Mix64(run_seed ^ (table_b ? 0xB3ULL : 0xA3ULL));
+}
 
 std::string_view JoinMethodName(JoinMethod method) {
   switch (method) {

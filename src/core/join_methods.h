@@ -37,25 +37,6 @@ struct JoinMethodConfig {
   JoinEstOptions plus_join_est;   ///< LDPJoinSketch+ subtraction variant
   uint64_t run_seed = 42;
   size_t num_threads = 0;
-  /// LDPJoinSketch(+) only: 0 = in-process ingest; N >= 1 routes ingestion
-  /// through the sharded streaming aggregation service (bit-identical
-  /// estimates — see SimulationOptions::num_shards).
-  size_t num_shards = 0;
-  /// LDPJoinSketch(+) only: additionally ship the wire frames through a
-  /// real TCP loopback session (FrameServer/FrameSender on 127.0.0.1).
-  /// Still bit-identical — see SimulationOptions::net_loopback.
-  bool net_loopback = false;
-  /// LDPJoinSketch(+) only: N >= 1 runs the full federated topology — N
-  /// regional aggregators shipping epoch snapshots to one central — on
-  /// 127.0.0.1. Still bit-identical — see SimulationOptions::num_regions.
-  size_t num_regions = 0;
-  /// Federated mode: reports per region between epoch cuts (0 = one
-  /// epoch). See SimulationOptions::epoch_reports.
-  uint64_t epoch_reports = 0;
-  /// Federated mode: 0 = full-history estimate; W >= 1 = sliding-window
-  /// estimate over the last W cross-region-aligned epochs. See
-  /// SimulationOptions::window_epochs.
-  uint64_t window_epochs = 0;
   bool clamp_negative_frequencies = false;  ///< for the oracle baselines
 };
 
@@ -65,6 +46,10 @@ struct JoinMethodResult {
   double online_seconds = 0.0;   ///< estimate from aggregated state
   double comm_bits = 0.0;        ///< total client→server bits (model)
 };
+
+/// The seed LDPJoinSketch perturbs table A or B with, given the config's
+/// run_seed (so `ldpjs_cli send` can replay an in-process run's streams).
+uint64_t LdpJoinSketchTableSeed(uint64_t run_seed, bool table_b);
 
 /// Runs `method` end-to-end on the two private join columns.
 JoinMethodResult EstimateJoin(JoinMethod method, const Column& table_a,

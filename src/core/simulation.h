@@ -39,41 +39,6 @@ static_assert(kIngestBlockSize <= kMaxWireBatchReports,
 struct SimulationOptions {
   uint64_t run_seed = 42;   ///< perturbation randomness (distinct from hash seed)
   size_t num_threads = 0;   ///< 0 = hardware concurrency
-  /// 0 = in-process ingestion (clients absorb straight into thread-local
-  /// sketches). N >= 1 = the distributed deployment path: every 4096-user
-  /// block is encoded as a length-prefixed wire frame and the stream is
-  /// ingested by a ShardedAggregator with N shards. Raw lanes make the two
-  /// paths bit-identical, so num_shards — like num_threads — can never
-  /// change a result; tests pin this.
-  size_t num_shards = 0;
-  /// With the wire path active (num_shards >= 1, or forced to 1 shard when
-  /// this is set): ship every frame over a real TCP connection — a
-  /// FrameServer on 127.0.0.1 with an ephemeral port, fed by a FrameSender
-  /// speaking the LJSP session protocol — instead of handing spans to the
-  /// in-process service. The bytes on the socket are the exact LJSB
-  /// envelopes the in-process path ingests, so results stay bit-identical;
-  /// tests pin this too.
-  bool net_loopback = false;
-  /// N >= 1: the full federated deployment rehearsal — N RegionalNodes on
-  /// 127.0.0.1 ingest the client blocks round-robin and ship raw-lane
-  /// epoch snapshots upstream (EPOCH_PUSH) to one CentralNode, which
-  /// merges them and finalizes once. Shard count per tier comes from
-  /// num_shards. Still bit-identical to in-process ingestion — federation,
-  /// like sharding and the network, can never change an answer.
-  size_t num_regions = 0;
-  /// Federated mode: each region cuts + ships an epoch snapshot after
-  /// every `epoch_reports` reports it has ingested (0 = one epoch at the
-  /// end). Any schedule is exact; this just exercises multi-epoch merges.
-  uint64_t epoch_reports = 0;
-  /// Federated mode: 0 = the returned sketch is the full-history central
-  /// finalize (every epoch, the default). W >= 1 = the returned sketch is
-  /// the central's sliding-window view over the last W cross-region-
-  /// aligned epochs — epochs (E-W, E] where E is the newest epoch every
-  /// region has shipped (pass a huge W for "all epochs via the cached
-  /// incremental view"). Windowed runs insert an ingest barrier before
-  /// every cut, so each epoch's contents are exactly the blocks sent since
-  /// the previous cut and the run is deterministic.
-  uint64_t window_epochs = 0;
 };
 
 /// Runs the full LDPJoinSketch protocol over `column`: every value is

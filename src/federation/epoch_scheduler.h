@@ -1,11 +1,11 @@
 // EpochScheduler: drives the federated collection cadence. Fires a tick
 // callback — epoch cut → snapshot ship, see RegionalNode — either on a
 // fixed wall-clock period (the deployed mode) or only on explicit
-// TriggerNow() calls (the deterministic mode tests and report-count-driven
-// simulations use). Ticks run on the scheduler's own thread, strictly
-// serialized: a tick that runs long (e.g. a ship retrying against a dead
-// central) delays the next tick instead of overlapping it, so there is
-// never more than one cut in flight per region.
+// TriggerNow() calls (the deterministic mode tests and benches use).
+// Ticks run on the scheduler's own thread, strictly serialized: a tick
+// that runs long (e.g. a ship retrying against a dead central) delays the
+// next tick instead of overlapping it, so there is never more than one cut
+// in flight per region.
 #ifndef LDPJS_FEDERATION_EPOCH_SCHEDULER_H_
 #define LDPJS_FEDERATION_EPOCH_SCHEDULER_H_
 

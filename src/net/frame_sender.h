@@ -77,7 +77,7 @@ class FrameSender {
   Status SendReports(std::span<const LdpReport> reports);
 
   /// Streams one already-encoded LJSB batch envelope. This is the zero-
-  /// re-encode path the loopback simulation uses: the exact bytes the
+  /// re-encode path `ldpjs_cli send` uses: the exact bytes the
   /// in-process service would ingest go on the wire. Applies Options::
   /// trace_every sampling (the sampled batch goes out as a TRACED frame
   /// with a fresh id and origin = just before this send).

