@@ -213,10 +213,10 @@ void LdpJoinSketchServer::AbsorbBatch(std::span<const LdpReport> reports) {
   // next to the RMW, and a bad report aborts before it can touch a lane.
   // The split alternative — a branchless, vectorizable validation pass
   // followed by a bare scatter pass — was measured at 0.85-0.9x of this
-  // loop even chunked L1-resident (see absorb_fused_vs_split_speedup in
-  // BENCH_micro.json): the second sweep over the reports costs more than
-  // the predicted branches ever did. The SIMD win for lane accumulation is
-  // in Merge's contiguous AddLanes instead.
+  // loop even chunked L1-resident: the second sweep over the reports costs
+  // more than the predicted branches ever did, which is why the loop stays
+  // fused. The SIMD win for lane accumulation is in Merge's contiguous
+  // AddLanes instead.
   for (const LdpReport& r : reports) {
     LDPJS_CHECK(r.j < k);
     LDPJS_CHECK(r.l < m);

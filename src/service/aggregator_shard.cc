@@ -41,13 +41,6 @@ void AggregatorShard::MergeRaw(const LdpJoinSketchServer& other) {
   sketch_.Merge(other);
 }
 
-void AggregatorShard::SubtractRaw(const LdpJoinSketchServer& other) {
-  // Fold the retracted reports into the shipped counter first, so the
-  // lifetime total (shipped + live) is unchanged by the subtraction.
-  shipped_reports_ += other.total_reports();
-  sketch_.SubtractRaw(other);
-}
-
 void AggregatorShard::Reset() {
   shipped_reports_ += sketch_.total_reports();
   sketch_.ResetLanes();

@@ -43,12 +43,6 @@ class AggregatorShard {
   /// params/epsilon compatibility; exact integer lane addition.
   void MergeRaw(const LdpJoinSketchServer& other);
 
-  /// Exact inverse of MergeRaw: retracts a previously merged raw-lane
-  /// sketch (an expired sliding-window epoch). The retracted reports stay
-  /// in the lifetime counters — they *were* ingested — so reports_ingested
-  /// remains monotonic across retractions, like it does across Reset().
-  void SubtractRaw(const LdpJoinSketchServer& other);
-
   /// Epoch cut: zeroes the shard's lanes in place so a new collection
   /// window starts fresh. Lifetime counters (frames/reports ingested) keep
   /// accumulating across resets, so service metrics stay monotonic.

@@ -14,12 +14,6 @@ ShardedAggregator::ShardedAggregator(const SketchParams& params,
   for (size_t i = 0; i < num_shards; ++i) shards_.emplace_back(params, epsilon);
 }
 
-Status ShardedAggregator::IngestFrame(std::span<const uint8_t> frame) {
-  LDPJS_RETURN_IF_ERROR(shards_[next_shard_].IngestFrame(frame));
-  next_shard_ = (next_shard_ + 1) % shards_.size();
-  return Status::OK();
-}
-
 Status ShardedAggregator::IngestFrameToShard(size_t shard,
                                              std::span<const uint8_t> frame) {
   LDPJS_CHECK(shard < shards_.size());
@@ -54,12 +48,6 @@ void ShardedAggregator::MergeRawSketch(size_t shard,
                                        const LdpJoinSketchServer& sketch) {
   LDPJS_CHECK(shard < shards_.size());
   shards_[shard].MergeRaw(sketch);
-}
-
-void ShardedAggregator::SubtractRawSketch(size_t shard,
-                                          const LdpJoinSketchServer& sketch) {
-  LDPJS_CHECK(shard < shards_.size());
-  shards_[shard].SubtractRaw(sketch);
 }
 
 ShardedAggregator::EpochCut ShardedAggregator::CutEpoch() {

@@ -34,11 +34,6 @@ class ShardedAggregator {
   size_t num_shards() const { return shards_.size(); }
   const AggregatorShard& shard(size_t i) const { return shards_[i]; }
 
-  /// Streaming path: ingests one batch-envelope frame payload into the next
-  /// shard round-robin, on the calling thread. Bounded memory (the shard
-  /// rings); a rejected frame leaves every shard untouched.
-  Status IngestFrame(std::span<const uint8_t> frame);
-
   /// Shard-affine streaming path: ingests one frame into shard `shard`
   /// directly (the multi-pump server's per-shard queues own their routing).
   /// Raw lanes make any frame→shard routing bit-identical, so affinity is
@@ -60,14 +55,6 @@ class ShardedAggregator {
   /// Merges an already-validated raw-lane sketch into shard `shard` (exact
   /// integer lane addition). Not synchronized, like IngestFrameToShard.
   void MergeRawSketch(size_t shard, const LdpJoinSketchServer& sketch);
-
-  /// Exact inverse of MergeRawSketch: retracts a previously merged sketch
-  /// from shard `shard` — how a service-level caller expires an epoch in
-  /// place (the central's WindowedView instead retracts from its own
-  /// separate accumulator). Target the shard the sketch was merged into —
-  /// a shard's report balance can never go negative (contract check),
-  /// even though the global merge is linear.
-  void SubtractRawSketch(size_t shard, const LdpJoinSketchServer& sketch);
 
   /// One epoch cut: the serialized merged raw lanes of everything ingested
   /// since the last cut, plus the report count inside the cut. Every shard
@@ -105,7 +92,6 @@ class ShardedAggregator {
 
  private:
   std::vector<AggregatorShard> shards_;
-  size_t next_shard_ = 0;
 };
 
 }  // namespace ldpjs

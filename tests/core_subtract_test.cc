@@ -107,10 +107,10 @@ TEST(CoreSubtractTest, RandomAddSubtractInterleavingsMatchDirectBuild) {
   }
 }
 
-// Service plumbing: decode-once + merge/subtract through the sharded
-// aggregator keeps the merged lanes exact and the lifetime report counter
-// monotone (retracted reports were still ingested).
-TEST(CoreSubtractTest, ShardedAggregatorSubtractRawSketch) {
+// Service plumbing: decode-once + merge through the sharded aggregator
+// keeps the merged lanes exact, and validation rejects bad sketches before
+// any lane is touched.
+TEST(CoreSubtractTest, ShardedAggregatorDecodeAndMergeRawSketch) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;
   LdpJoinSketchClient client(params, epsilon);
@@ -129,12 +129,9 @@ TEST(CoreSubtractTest, ShardedAggregatorSubtractRawSketch) {
   aggregator.MergeRawSketch(0, *decoded_a);
   aggregator.MergeRawSketch(2, *decoded_b);
   EXPECT_EQ(aggregator.reports_ingested(), 5000u);
-
-  // Retract epoch A from the shard it was merged into.
-  aggregator.SubtractRawSketch(0, *decoded_a);
-  EXPECT_EQ(aggregator.MergeShards().Serialize(), epoch_b.Serialize());
-  // Lifetime counter stays monotone across the retraction.
-  EXPECT_EQ(aggregator.reports_ingested(), 5000u);
+  LdpJoinSketchServer both = epoch_a;
+  both.Merge(epoch_b);
+  EXPECT_EQ(aggregator.MergeShards().Serialize(), both.Serialize());
 
   // Validation still rejects garbage and mismatched shapes before any lane.
   const std::vector<uint8_t> garbage(32, 0xAB);

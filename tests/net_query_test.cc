@@ -32,6 +32,7 @@
 #include "net/frame_sender.h"
 #include "net/frame_server.h"
 #include "net/protocol.h"
+#include "obs/metrics.h"
 #include "service/published_view.h"
 #include "service/query_engine.h"
 
@@ -186,6 +187,8 @@ TEST(NetQueryTest, LifetimeServedAnswersBitIdenticalToInProcess) {
       const std::shared_ptr<const PublishedView> view =
           server.CurrentPublishedView();
       EXPECT_EQ(view->reports(), 20000u);
+      const uint64_t latency_before =
+          MetricsRegistry::Default().HistogramByName("query_latency_ns").count;
       for (size_t i = 0; i < requests.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "kind=" << i);
         auto served = sender->Query(requests[i]);
@@ -200,6 +203,11 @@ TEST(NetQueryTest, LifetimeServedAnswersBitIdenticalToInProcess) {
       EXPECT_EQ(metrics.query_frames, requests.size());
       EXPECT_EQ(metrics.queries_rejected, 0u);
       EXPECT_GE(metrics.views_published, 2u);  // Start + PING at least
+      // Every served QUERY lands one sample in the latency series.
+      EXPECT_EQ(
+          MetricsRegistry::Default().HistogramByName("query_latency_ns").count -
+              latency_before,
+          requests.size());
     }
   }
 }

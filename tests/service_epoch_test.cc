@@ -52,8 +52,10 @@ TEST(ServiceEpochTest, EpochSnapshotsMergeBitIdenticalToContinuousIngest) {
 
   // Continuous: one aggregator sees every frame.
   ShardedAggregator continuous(params, epsilon, 3);
-  for (const auto& frame : frames) {
-    ASSERT_TRUE(continuous.IngestFrame(frame).ok());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_TRUE(
+        continuous.IngestFrameToShard(i % continuous.num_shards(), frames[i])
+            .ok());
   }
 
   // Epoched: a fresh aggregator per window; each window's raw-lane
@@ -67,7 +69,8 @@ TEST(ServiceEpochTest, EpochSnapshotsMergeBitIdenticalToContinuousIngest) {
     const size_t begin = e * per_epoch;
     const size_t end = std::min(frames.size(), begin + per_epoch);
     for (size_t i = begin; i < end; ++i) {
-      ASSERT_TRUE(epoch.IngestFrame(frames[i]).ok());
+      ASSERT_TRUE(
+          epoch.IngestFrameToShard(i % epoch.num_shards(), frames[i]).ok());
     }
     snapshots.push_back(epoch.MergeShards().Serialize());
   }
@@ -95,8 +98,10 @@ TEST(ServiceEpochTest, EpochsSurviveChangingShardCounts) {
       MakeFrames(params, epsilon, 25000, 42);
 
   ShardedAggregator continuous(params, epsilon, 1);
-  for (const auto& frame : frames) {
-    ASSERT_TRUE(continuous.IngestFrame(frame).ok());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_TRUE(
+        continuous.IngestFrameToShard(i % continuous.num_shards(), frames[i])
+            .ok());
   }
 
   // Each epoch runs a different shard width (a redeploy mid-collection);
@@ -108,7 +113,8 @@ TEST(ServiceEpochTest, EpochsSurviveChangingShardCounts) {
   for (size_t e = 0; e < 4; ++e) {
     ShardedAggregator epoch(params, epsilon, shard_widths[e]);
     for (size_t i = 0; i < per_epoch && next < frames.size(); ++i, ++next) {
-      ASSERT_TRUE(epoch.IngestFrame(frames[next]).ok());
+      ASSERT_TRUE(
+          epoch.IngestFrameToShard(i % epoch.num_shards(), frames[next]).ok());
     }
     auto snapshot = LdpJoinSketchServer::Deserialize(
         epoch.MergeShards().Serialize());
@@ -121,8 +127,11 @@ TEST(ServiceEpochTest, EpochsSurviveChangingShardCounts) {
   const std::vector<std::vector<uint8_t>> frames_b =
       MakeFrames(params, epsilon, 25000, 43);
   ShardedAggregator aggregator_b(params, epsilon, 2);
-  for (const auto& frame : frames_b) {
-    ASSERT_TRUE(aggregator_b.IngestFrame(frame).ok());
+  for (size_t i = 0; i < frames_b.size(); ++i) {
+    ASSERT_TRUE(
+        aggregator_b.IngestFrameToShard(i % aggregator_b.num_shards(),
+                                        frames_b[i])
+            .ok());
   }
   LdpJoinSketchServer other = aggregator_b.Finalize();
   LdpJoinSketchServer continuous_final = continuous.Finalize();

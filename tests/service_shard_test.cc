@@ -127,14 +127,17 @@ TEST(ServiceShardTest, StreamingIngestFrameMatchesBulkIngestStream) {
   // Frame-at-a-time (round-robin) vs one bulk stream of the same frames.
   ShardedAggregator streaming(params, epsilon, 4), bulk(params, epsilon, 4);
   BinaryWriter stream;
-  size_t pos = 0;
+  size_t pos = 0, frames = 0;
   Xoshiro256 rng(11);
   while (pos < reports.size()) {
     const size_t count = std::min(1 + rng.NextBounded(3000),
                                   reports.size() - pos);
     BinaryWriter frame;
     EncodeReportBatch(std::span<const LdpReport>(&reports[pos], count), frame);
-    ASSERT_TRUE(streaming.IngestFrame(frame.buffer()).ok());
+    ASSERT_TRUE(
+        streaming.IngestFrameToShard(frames++ % streaming.num_shards(),
+                                     frame.buffer())
+            .ok());
     stream.PutFrame(frame.buffer());
     pos += count;
   }

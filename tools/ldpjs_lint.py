@@ -63,6 +63,14 @@ Rules (each has a short slug used in the output):
                   may include a net/, service/, federation/ or obs/
                   header: deployments build on the estimators, never the
                   other way round.
+
+  bench-gate-message
+                  No bare std::abort() under bench/: the statement right
+                  before every abort must write to stderr, naming the
+                  failed check, its measured value and its budget.
+                  bench_micro routes every check through one such helper
+                  (Fail); an abort that prints nothing cannot be
+                  attributed when a gate run fails.
 """
 
 import re
@@ -70,13 +78,12 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+BENCH = REPO / "bench"
 SRC = REPO / "src"
 TESTS = REPO / "tests"
 TOOLS = REPO / "tools"
 # Where a header's users may live for it to count as used (orphan-module).
-INCLUDERS = (
-    SRC, TOOLS, REPO / "bench", REPO / "examples", REPO / "perfbench" / "src"
-)
+INCLUDERS = (SRC, TOOLS, BENCH, REPO / "examples", REPO / "perfbench" / "src")
 
 # -- allow-lists -------------------------------------------------------------
 
@@ -293,6 +300,25 @@ def check_layering(violations):
                 )
 
 
+def check_bench_gate_message(violations):
+    # The statement that ends right before the abort; none when the abort
+    # opens a block or is the body of an `if (...)`.
+    previous = re.compile(r"[;{}]([^;{}]*);\s*$")
+    for path in cpp_files(BENCH):
+        lines = [strip_comments(line) for line in path.read_text().splitlines()]
+        for lineno, line in enumerate(lines, 1):
+            if "std::abort()" not in line:
+                continue
+            prefix = "\n".join(lines[: lineno - 1] + [line.split("std::abort()")[0]])
+            match = previous.search(prefix)
+            if not match or not re.search(r"stderr|std::cerr", match.group(1)):
+                violations.append(
+                    f"{rel(path)}:{lineno}: [bench-gate-message] bare "
+                    "std::abort() — print the check, its measured value and "
+                    "its budget to stderr first (bench_micro's Fail)"
+                )
+
+
 def main():
     violations = []
     check_mutex_wrapper(violations)
@@ -303,6 +329,7 @@ def main():
     check_one_protocol_version(violations)
     check_orphan_modules(violations)
     check_layering(violations)
+    check_bench_gate_message(violations)
     if violations:
         for v in violations:
             print(v)
